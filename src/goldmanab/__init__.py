@@ -35,7 +35,6 @@ from .rat_ideals import (
     decompose_by_center,
     ideal_closure,
     ideal_contains,
-    ideals_equal,
     label_bracket_identity_holds,
 )
 from .symplectic import (
@@ -44,7 +43,6 @@ from .symplectic import (
     center_generators,
     intersection_pairing,
     is_central,
-    pairing_matrix,
     pairing_vector,
     symplectic_product,
 )

@@ -1,7 +1,7 @@
 """Exponent-vector monomials and exact formal sums over them.
 
 A ``Monomial`` is an element of the free abelian group on n generators,
-stored as an integer exponent vector.  A ``ModuleElement`` is a finitely
+stored as a tuple of integer exponents.  A ``ModuleElement`` is a finitely
 supported map from monomials to exact coefficients, tagged with its
 coefficient ring: ``"Z"`` (Python ints) or ``"Q"`` (``fractions.Fraction``).
 All arithmetic is exact and arbitrary precision.
@@ -9,76 +9,63 @@ All arithmetic is exact and arbitrary precision.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .words import Word
+from .words import Word, _Value
 
 Coefficient = Union[int, Fraction]
 
 RINGS = ("Z", "Q")
 
 
-class Monomial:
-    """An integer exponent vector a1^e1 ... an^en.
+class Monomial(tuple):
+    """An integer exponent vector a1^e1 ... an^en: a tuple of exponents.
 
     >>> Monomial((1, 2)) * Monomial((0, -2))
     Monomial((1, 0))
     """
 
-    __slots__ = ("exps",)
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[int]):
+    def __new__(cls, exps: Iterable[int]):
         exps = tuple(exps)
         for e in exps:
             if not isinstance(e, int):
                 raise TypeError(f"exponent {e!r} is not an exact integer")
-        object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
+        return tuple.__new__(cls, exps)
 
     @classmethod
     def identity(cls, n: int) -> "Monomial":
-        return cls((0,) * n)
+        return tuple.__new__(cls, (0,) * n)
 
     @classmethod
     def unit(cls, n: int, gen: int) -> "Monomial":
         """The generator monomial a_gen (1-based index)."""
         if not 1 <= gen <= n:
             raise ValueError(f"generator index {gen} out of range 1..{n}")
-        return cls(tuple(1 if j == gen - 1 else 0 for j in range(n)))
-
-    def __len__(self) -> int:
-        return len(self.exps)
+        return tuple.__new__(cls, (1 if j == gen - 1 else 0 for j in range(n)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exps) != len(other.exps):
+        if len(self) != len(other):
             raise ValueError("monomial length mismatch")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return tuple.__new__(Monomial, map(operator.add, self, other))
 
     def inverse(self) -> "Monomial":
-        return Monomial(tuple(-a for a in self.exps))
+        return tuple.__new__(Monomial, map(operator.neg, self))
+
+    def __add__(self, other):
+        # Tuple concatenation and repetition mean nothing for exponent vectors.
+        return NotImplemented
+
+    __rmul__ = __add__
 
     def is_identity(self) -> bool:
-        return not any(self.exps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.exps == other.exps
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.exps < other.exps
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self.exps <= other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
+        return not any(self)
 
     def __repr__(self) -> str:
-        return f"Monomial({self.exps!r})"
+        return f"Monomial({tuple(self)!r})"
 
 
 def _check_coefficient(ring: str, coef: Coefficient) -> Coefficient:
@@ -95,7 +82,20 @@ def _check_coefficient(ring: str, coef: Coefficient) -> Coefficient:
     raise ValueError(f"unknown ring {ring!r}")
 
 
-class ModuleElement:
+def _merge_terms(*term_lists: Iterable[tuple[Monomial, Coefficient]]) -> dict:
+    """Sum the coefficients of equal monomials and drop the zero sums."""
+    acc: dict[Monomial, Coefficient] = {}
+    for terms in term_lists:
+        for mono, coef in terms:
+            new = acc.get(mono, 0) + coef
+            if new:
+                acc[mono] = new
+            else:
+                acc.pop(mono, None)
+    return acc
+
+
+class ModuleElement(_Value):
     """A finitely supported exact linear combination of monomials.
 
     Zero coefficients are never stored; all monomials share one length;
@@ -105,27 +105,13 @@ class ModuleElement:
 
     __slots__ = ("ring", "_terms")
 
-    def __init__(self, ring: str, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
+    def __new__(cls, ring: str, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
         if ring not in RINGS:
             raise ValueError(f"unknown ring {ring!r}")
-        acc: dict[Monomial, Coefficient] = {}
-        length: int | None = None
-        for mono, coef in terms:
-            coef = _check_coefficient(ring, coef)
-            if length is None:
-                length = len(mono)
-            elif len(mono) != length:
-                raise ValueError("mixed monomial lengths")
-            new = acc.get(mono, 0) + coef
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", acc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleElement is immutable")
+        terms = [(mono, _check_coefficient(ring, coef)) for mono, coef in terms]
+        if len({len(mono) for mono, _ in terms}) > 1:
+            raise ValueError("mixed monomial lengths")
+        return cls._make(ring, _merge_terms(terms))
 
     @classmethod
     def zero(cls, ring: str = "Z") -> "ModuleElement":
@@ -137,7 +123,7 @@ class ModuleElement:
 
     def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms sorted lexicographically by exponent vector."""
-        return sorted(self._terms.items(), key=lambda item: item[0].exps)
+        return sorted(self._terms.items())
 
     def coefficient(self, mono: Monomial) -> Coefficient:
         return self._terms.get(mono, Fraction(0) if self.ring == "Q" else 0)
@@ -157,23 +143,31 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._require_same_ring(other)
-        return ModuleElement(self.ring, list(self._terms.items()) + list(other._terms.items()))
+        if self._terms and other._terms and len(next(iter(self._terms))) != len(
+            next(iter(other._terms))
+        ):
+            raise ValueError("mixed monomial lengths")
+        return ModuleElement._make(
+            self.ring, _merge_terms(self._terms.items(), other._terms.items())
+        )
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.ring, [(m, -c) for m, c in self._terms.items()])
+        return ModuleElement._make(self.ring, {m: -c for m, c in self._terms.items()})
 
     def scaled(self, factor: Coefficient) -> "ModuleElement":
         factor = _check_coefficient(self.ring, factor)
-        return ModuleElement(self.ring, [(m, c * factor) for m, c in self._terms.items()])
+        if not factor:
+            return ModuleElement._make(self.ring, {})
+        return ModuleElement._make(self.ring, {m: c * factor for m, c in self._terms.items()})
 
     def to_rational(self) -> "ModuleElement":
         """Explicit promotion of an integer element into the rational module."""
         if self.ring == "Q":
             return self
-        return ModuleElement("Q", [(m, Fraction(c)) for m, c in self._terms.items()])
+        return ModuleElement._make("Q", {m: Fraction(c) for m, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleElement):
@@ -186,7 +180,7 @@ class ModuleElement:
     def __repr__(self) -> str:
         if self.is_zero():
             return f"ModuleElement({self.ring!r}, 0)"
-        body = " + ".join(f"{c}*{m.exps}" for m, c in self.terms())
+        body = " + ".join(f"{c}*{tuple(m)}" for m, c in self.terms())
         return f"ModuleElement({self.ring!r}, {body})"
 
     def to_json_obj(self) -> dict:
@@ -194,7 +188,7 @@ class ModuleElement:
         return {
             "ring": self.ring,
             "terms": [
-                {"exp": list(m.exps), "coef": str(c)} for m, c in self.terms()
+                {"exp": list(m), "coef": str(c)} for m, c in self.terms()
             ],
         }
 
@@ -215,8 +209,8 @@ def exponent_vector(w: Word, n: int | None = None) -> Monomial:
     """Total exponent of each generator in ``w`` (the reordering map).
 
     >>> from .words import parse_word
-    >>> exponent_vector(parse_word("a1^2 a2^-3", n=2)).exps
-    (2, -3)
+    >>> exponent_vector(parse_word("a1^2 a2^-3", n=2))
+    Monomial((2, -3))
     """
     if n is None:
         n = w.n
@@ -225,7 +219,7 @@ def exponent_vector(w: Word, n: int | None = None) -> Monomial:
         if let.gen > n:
             raise ValueError(f"generator index {let.gen} out of range 1..{n}")
         exps[let.gen - 1] += let.exp
-    return Monomial(exps)
+    return tuple.__new__(Monomial, exps)
 
 
 def generator_exponent_sum(w: Word, gen: int) -> int:

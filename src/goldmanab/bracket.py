@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .abelian import Coefficient, ModuleElement, Monomial
+from .abelian import Coefficient, ModuleElement, Monomial, _merge_terms
 from .symplectic import SurfaceSignature, symplectic_product
 
 
@@ -33,10 +33,10 @@ def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> Module
     """Bilinear extension of the monomial bracket; terms merged, zeros pruned."""
     if u.ring != v.ring:
         raise ValueError(f"ring mismatch: {u.ring} vs {v.ring}")
-    terms: list[tuple[Monomial, Coefficient]] = []
-    for xm, xc in u.terms():
-        for ym, yc in v.terms():
+    terms = []
+    for xm, xc in u._terms.items():
+        for ym, yc in v._terms.items():
             p = symplectic_product(sig, xm, ym)
             if p:
                 terms.append((xm * ym, xc * yc * p))
-    return ModuleElement(u.ring, terms)
+    return ModuleElement._make(u.ring, _merge_terms(terms))

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .words import Letter, Word, are_conjugate, reduce_word
+from .words import Letter, Word, _checked_letters, _Value, are_conjugate, reduce_word
 
-Syllable = tuple[str, Union[int, tuple[Letter, ...]]]
+# A c-power exponent, or a maximal block of free-factor letters.
+Syllable = Union[int, tuple[Letter, ...]]
 
 
 def symmetric_residue(exp: int, level: int) -> int:
@@ -36,7 +37,7 @@ def symmetric_residue(exp: int, level: int) -> int:
     return r
 
 
-class QuotientWord:
+class QuotientWord(_Value):
     """Normal-form element of the level quotient.
 
     Immutable; built with :func:`project_word` or by multiplying existing
@@ -45,28 +46,15 @@ class QuotientWord:
 
     __slots__ = ("level", "c", "alphabet", "letters")
 
-    def __init__(self, level: int, c: int, alphabet: int, letters: Iterable[Letter] = ()):
-        if level < 0:
-            raise ValueError("level must be nonnegative")
+    def __new__(cls, level: int, c: int, alphabet: int, letters: Iterable[Letter] = ()):
+        _check_level(level)
         if not 1 <= c <= alphabet:
             raise ValueError(f"distinguished generator {c} out of range 1..{alphabet}")
-        letters = tuple(Letter(g, e) for g, e in letters)
-        prev = 0
-        for let in letters:
-            if not 1 <= let.gen <= alphabet:
-                raise ValueError(f"generator index {let.gen} out of range 1..{alphabet}")
-            if let.exp == 0 or let.gen == prev:
-                raise ValueError("letters not in normal form")
-            if let.gen == c and symmetric_residue(let.exp, level) != let.exp:
-                raise ValueError(f"c-exponent {let.exp} outside the level-{level} residue range")
-            prev = let.gen
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientWord is immutable")
+        letters = _checked_letters(letters, alphabet)
+        for gen, exp in letters:
+            if gen == c and symmetric_residue(exp, level) != exp:
+                raise ValueError(f"c-exponent {exp} outside the level-{level} residue range")
+        return cls._make(level, c, alphabet, letters)
 
     @classmethod
     def identity(cls, level: int, c: int, alphabet: int) -> "QuotientWord":
@@ -82,38 +70,30 @@ class QuotientWord:
     def __mul__(self, other: "QuotientWord") -> "QuotientWord":
         self._require_compatible(other)
         stack = list(self.letters)
-        for let in other.letters:
-            _push_quotient(stack, let.gen, let.exp, self.level, self.c)
-        return QuotientWord(self.level, self.c, self.alphabet, stack)
+        for gen, exp in other.letters:
+            _push_quotient(stack, gen, exp, self.level, self.c)
+        return QuotientWord._make(self.level, self.c, self.alphabet, tuple(stack))
 
     def inverse(self) -> "QuotientWord":
         stack: list[Letter] = []
-        for let in reversed(self.letters):
-            _push_quotient(stack, let.gen, -let.exp, self.level, self.c)
-        return QuotientWord(self.level, self.c, self.alphabet, stack)
+        for gen, exp in reversed(self.letters):
+            _push_quotient(stack, gen, -exp, self.level, self.c)
+        return QuotientWord._make(self.level, self.c, self.alphabet, tuple(stack))
 
     def to_word(self) -> Word:
         """The normal form read back as a plain free-group word."""
-        return Word(self.alphabet, self.letters)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientWord):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.c == other.c
-            and self.alphabet == other.alphabet
-            and self.letters == other.letters
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.c, self.alphabet, self.letters))
+        return Word._make(self.alphabet, self.letters)
 
     def __repr__(self) -> str:
         return (
             f"QuotientWord(level={self.level}, c={self.c}, "
             f"word={str(self.to_word())!r})"
         )
+
+
+def _check_level(level: int) -> None:
+    if level < 0:
+        raise ValueError("level must be nonnegative")
 
 
 def _push_quotient(stack: list[Letter], gen: int, exp: int, level: int, c: int) -> None:
@@ -141,12 +121,13 @@ def project_word(w: Word, level: int, c: int) -> QuotientWord:
     >>> str(project_word(reduce_word([(1, 5)], 2), 1, 1).to_word())
     'a1'
     """
+    _check_level(level)
     if not 1 <= c <= w.n:
         raise ValueError(f"distinguished generator {c} out of range 1..{w.n}")
     stack: list[Letter] = []
-    for let in w.letters:
-        _push_quotient(stack, let.gen, let.exp, level, c)
-    return QuotientWord(level, c, w.n, stack)
+    for gen, exp in w.letters:
+        _push_quotient(stack, gen, exp, level, c)
+    return QuotientWord._make(level, c, w.n, tuple(stack))
 
 
 def _syllables(q: QuotientWord) -> list[Syllable]:
@@ -156,29 +137,27 @@ def _syllables(q: QuotientWord) -> list[Syllable]:
     for let in q.letters:
         if let.gen == q.c:
             if block:
-                out.append(("f", tuple(block)))
+                out.append(tuple(block))
                 block = []
-            out.append(("c", let.exp))
+            out.append(let.exp)
         else:
             block.append(let)
     if block:
-        out.append(("f", tuple(block)))
+        out.append(tuple(block))
     return out
 
 
 def _merge_syllables(last: Syllable, first: Syllable, level: int, alphabet: int) -> Optional[Syllable]:
-    kind = last[0]
-    if kind == "c":
-        total = symmetric_residue(last[1] + first[1], level)
-        return ("c", total) if total else None
-    merged = reduce_word([(g, e) for g, e in last[1]] + [(g, e) for g, e in first[1]], alphabet)
-    return ("f", merged.letters) if merged.letters else None
+    if isinstance(last, int):
+        return symmetric_residue(last + first, level) or None
+    return reduce_word(last + first, alphabet).letters or None
 
 
 def _cyclic_syllables(q: QuotientWord) -> list[Syllable]:
-    # Conjugate away matching ends until the syllable cycle is reduced.
+    # Conjugate away matching ends until the syllable cycle is reduced; the
+    # cycle alternates, so equal ends are both c-powers or both free blocks.
     syl = _syllables(q)
-    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+    while len(syl) >= 2 and isinstance(syl[0], int) == isinstance(syl[-1], int):
         merged = _merge_syllables(syl[-1], syl[0], q.level, q.alphabet)
         middle = syl[1:-1]
         syl = middle if merged is None else [merged] + middle
@@ -200,14 +179,10 @@ def conjugate_in_quotient(x: QuotientWord, y: QuotientWord) -> bool:
             return False
         if not sx:
             return True
-        (kx, vx), (ky, vy) = sx[0], sy[0]
-        if kx != ky:
-            return False
-        if kx == "c":
+        vx, vy = sx[0], sy[0]
+        if isinstance(vx, int) or isinstance(vy, int):
             return vx == vy
-        wx = Word(x.alphabet, vx)
-        wy = Word(y.alphabet, vy)
-        return are_conjugate(wx, wy)
+        return are_conjugate(Word._make(x.alphabet, vx), Word._make(y.alphabet, vy))
     if len(sx) != len(sy):
         return False
     return any(sy == sx[i:] + sx[:i] for i in range(len(sx)))

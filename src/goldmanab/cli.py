@@ -106,7 +106,7 @@ def _cmd_ab(args) -> tuple[dict, int]:
     ring = args.ring or ("Q" if any("/" in c for c in coef_strings) else "Z")
     try:
         coefs = [Fraction(c) if ring == "Q" else int(c) for c in coef_strings]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad coefficient: {exc}") from exc
     return abelianize(list(zip(coefs, words)), sig.n, ring=ring).to_json_obj(), 0
 
@@ -122,7 +122,7 @@ def _cmd_center(args) -> tuple[dict, int]:
     sig = _surface(args)
     gens = []
     for mono in center_generators(sig):
-        index = next(i + 1 for i, e in enumerate(mono.exps) if e)
+        index = next(i + 1 for i, e in enumerate(mono) if e)
         gens.append(f"a{index}")
     return {"generators": gens}, 0
 
@@ -131,7 +131,10 @@ def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodu
     if args.rule == "ik":
         if args.K is None:
             raise CliError("--rule ik requires --K")
-        return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
+        try:
+            return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     if args.table is None:
         raise CliError("--rule table requires --table")
     obj = _parse_json(args.table, "--table")
@@ -186,7 +189,10 @@ def _cmd_ideal_closure(args) -> tuple[dict, int]:
     sig = _surface(args)
     generators = []
     for text in args.gen or []:
-        elem = ModuleElement.from_json_obj(_parse_json(text, "--gen"))
+        try:
+            elem = ModuleElement.from_json_obj(_parse_json(text, "--gen"))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"bad --gen element: {exc}") from exc
         if elem.ring != "Q":
             raise CliError("ideal generators must be rational elements")
         generators.append(elem)
@@ -203,7 +209,7 @@ def _cmd_ideal_member(args) -> tuple[dict, int]:
         ideal = rat_ideals.RationalIdeal.from_json_obj(_parse_json(args.ideal, "--ideal"))
         elem = ModuleElement.from_json_obj(_parse_json(args.elem, "--elem"))
         verdict = rat_ideals.ideal_contains(sig, ideal, elem)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
     return {"verdict": verdict}, 0 if verdict else 1
 
@@ -218,6 +224,8 @@ def _cmd_chain_project(args) -> tuple[dict, int]:
 
 
 def _cmd_chain_separate(args) -> tuple[dict, int]:
+    if args.nmax < 0:
+        raise CliError("--nmax must be nonnegative")
     a = _parse_word_loose(args.word_a, args.c)
     b = _parse_word_loose(args.word_b, args.c)
     n = max(a.n, b.n)

@@ -70,9 +70,9 @@ class GcdSubmodule(GeometricSubmodule):
     def min_multiple(self, x: Monomial) -> int:
         if len(x) != self.n:
             raise ValueError(f"monomial length {len(x)} != {self.n}")
-        if x.exps in self.exceptions:
+        if x in self.exceptions:
             return 1
-        return math.gcd(*x.exps) if x.exps else 0
+        return math.gcd(*x) if x else 0
 
     def in_domain(self, x: Monomial) -> bool:
         return len(x) == self.n
@@ -127,11 +127,11 @@ class TableSubmodule(GeometricSubmodule):
 
     def min_multiple(self, x: Monomial) -> int:
         if not self.in_domain(x):
-            raise ValueError(f"monomial {x.exps} outside the table box (radius {self.radius})")
-        return self.values[x.exps]
+            raise ValueError(f"monomial {tuple(x)} outside the table box (radius {self.radius})")
+        return self.values[x]
 
     def in_domain(self, x: Monomial) -> bool:
-        return len(x) == self.n and max(map(abs, x.exps), default=0) <= self.radius
+        return len(x) == self.n and max(map(abs, x), default=0) <= self.radius
 
     def __repr__(self) -> str:
         return f"TableSubmodule(n={self.n}, radius={self.radius})"
@@ -199,8 +199,8 @@ def bracket_closure_check(
             return CheckReport(
                 False,
                 {
-                    "v": list(v.exps),
-                    "w": list(w.exps),
+                    "v": list(v),
+                    "w": list(w),
                     "pairing": pairing,
                     "rule_v": a_v,
                     "rule_vw": a_vw,
@@ -215,8 +215,8 @@ def _paired_gcd(sig: SurfaceSignature, k: Monomial, i: Monomial) -> int:
     # gcd over the symplectic pairs of gcd(k-pair) * gcd(i-pair); 0 when g = 0.
     factors = []
     for t in range(sig.genus):
-        gk = math.gcd(k.exps[2 * t], k.exps[2 * t + 1])
-        gi = math.gcd(i.exps[2 * t], i.exps[2 * t + 1])
+        gk = math.gcd(k[2 * t], k[2 * t + 1])
+        gi = math.gcd(i[2 * t], i[2 * t + 1])
         factors.append(gk * gi)
     return math.gcd(*factors) if factors else 0
 
@@ -246,8 +246,8 @@ def gcd_divisibility_check(
             return CheckReport(
                 False,
                 {
-                    "k": list(k.exps),
-                    "i": list(i.exps),
+                    "k": list(k),
+                    "i": list(i),
                     "rule_k": a_k,
                     "rule_i": a_i,
                     "gcd_factor": factor,

@@ -18,9 +18,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .abelian import ModuleElement, Monomial
 from .bracket import bracket
 from .symplectic import SurfaceSignature, is_central, symplectic_product
+from .words import _Value
 
 
-class PrimitiveLabel:
+class PrimitiveLabel(_Value):
     """Canonical data (c_1, q_1), ..., (c_k, q_k) of a primitive component.
 
     The c_i are pairwise distinct central monomials and the q_i nonzero
@@ -30,8 +31,8 @@ class PrimitiveLabel:
 
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: Iterable[tuple[Monomial, Fraction]]):
-        pairs = tuple(sorted(((m, Fraction(q)) for m, q in pairs), key=lambda p: p[0].exps))
+    def __new__(cls, pairs: Iterable[tuple[Monomial, Fraction]]):
+        pairs = tuple(sorted(((m, Fraction(q)) for m, q in pairs), key=lambda p: p[0]))
         if not pairs:
             raise ValueError("a label needs at least one pair")
         if len({m for m, _ in pairs}) != len(pairs):
@@ -41,10 +42,7 @@ class PrimitiveLabel:
         least_mono, least_q = pairs[0]
         if not least_mono.is_identity() or least_q != 1:
             raise ValueError("label not canonical; use PrimitiveLabel.from_pairs")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimitiveLabel is immutable")
+        return cls._make(pairs)
 
     @classmethod
     def from_pairs(
@@ -59,10 +57,10 @@ class PrimitiveLabel:
         pairs = [(m, Fraction(q)) for m, q in pairs]
         for m, q in pairs:
             if not is_central(sig, m):
-                raise ValueError(f"label monomial {m.exps} is not central")
+                raise ValueError(f"label monomial {tuple(m)} is not central")
             if q == 0:
                 raise ValueError("label weights must be nonzero")
-        pairs.sort(key=lambda p: p[0].exps)
+        pairs.sort(key=lambda p: p[0])
         least_mono, least_q = pairs[0]
         shift = least_mono.inverse()
         return cls((m * shift, q / least_q) for m, q in pairs)
@@ -74,25 +72,18 @@ class PrimitiveLabel:
 
     def element_at(self, x: Monomial) -> ModuleElement:
         """The rational element sum_i q_i * (c_i * x)."""
-        return ModuleElement("Q", [(m * x, q) for m, q in self.pairs])
+        # Translation by x is injective, so the monomials stay distinct.
+        return ModuleElement._make("Q", {m * x: q for m, q in self.pairs})
 
     def sort_key(self) -> tuple:
-        return tuple((m.exps, q) for m, q in self.pairs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrimitiveLabel):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
+        return self.pairs
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({m.exps}, {q})" for m, q in self.pairs)
+        body = ", ".join(f"({tuple(m)}, {q})" for m, q in self.pairs)
         return f"PrimitiveLabel([{body}])"
 
     def to_json_obj(self) -> list[dict]:
-        return [{"c": list(m.exps), "q": str(q)} for m, q in self.pairs]
+        return [{"c": list(m), "q": str(q)} for m, q in self.pairs]
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "PrimitiveLabel":
@@ -136,7 +127,7 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
     classes: dict[tuple[int, ...], list[tuple[Monomial, Fraction]]] = {}
     central_terms: list[tuple[Monomial, Fraction]] = []
     for mono, coef in u.terms():
-        key = mono.exps[:g2]
+        key = mono[:g2]
         if not any(key):
             central_terms.append((mono, coef))
         else:
@@ -146,9 +137,10 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
         members = classes[key]  # already sorted lexicographically
         base, base_coef = members[0]
         shift = base.inverse()
-        label = PrimitiveLabel((m * shift, q / base_coef) for m, q in members)
+        # Translation keeps the order, so the label is canonical as built.
+        label = PrimitiveLabel._make(tuple((m * shift, q / base_coef) for m, q in members))
         parts.append(Part(label, base, base_coef))
-    return CentralDecomposition(tuple(parts), ModuleElement("Q", central_terms))
+    return CentralDecomposition(tuple(parts), ModuleElement._make("Q", dict(central_terms)))
 
 
 def label_bracket_identity_holds(
@@ -168,10 +160,6 @@ _Vector = dict[Monomial, Fraction]
 
 def _as_vector(u: ModuleElement) -> _Vector:
     return {m: Fraction(c) for m, c in u.terms()}
-
-
-def _vector_element(v: _Vector) -> ModuleElement:
-    return ModuleElement("Q", list(v.items()))
 
 
 def _reduce_vector(v: _Vector, basis: Sequence[tuple[Monomial, _Vector]]) -> _Vector:
@@ -199,54 +187,32 @@ def _rref(vectors: Iterable[_Vector]) -> list[tuple[Monomial, _Vector]]:
         inv = 1 / rest[pivot]
         row = {m: q * inv for m, q in rest.items()}
         for idx, (p, b) in enumerate(basis):
-            c = b.get(pivot)
-            if c:
-                reduced = dict(b)
-                for m, q in row.items():
-                    new = reduced.get(m, Fraction(0)) - c * q
-                    if new:
-                        reduced[m] = new
-                    else:
-                        reduced.pop(m, None)
-                basis[idx] = (p, reduced)
+            if b.get(pivot):
+                basis[idx] = (p, _reduce_vector(b, [(pivot, row)]))
         basis.append((pivot, row))
-        basis.sort(key=lambda item: item[0].exps)
+        basis.sort(key=lambda item: item[0])
     return basis
 
 
-class RationalIdeal:
+class RationalIdeal(_Value):
     """An ideal presented by its label set and a reduced central basis."""
 
     __slots__ = ("labels", "central_basis")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         labels: Iterable[PrimitiveLabel] = (),
         central_basis: Iterable[ModuleElement] = (),
     ):
-        object.__setattr__(self, "labels", frozenset(labels))
-        object.__setattr__(
-            self,
-            "central_basis",
-            tuple(_vector_element(row) for _, row in _rref(_as_vector(u) for u in central_basis)),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalIdeal is immutable")
+        rows = _rref(_as_vector(u) for u in central_basis)
+        basis = tuple(ModuleElement._make("Q", row) for _, row in rows)
+        return cls._make(frozenset(labels), basis)
 
     def sorted_labels(self) -> list[PrimitiveLabel]:
         return sorted(self.labels, key=PrimitiveLabel.sort_key)
 
     def is_zero(self) -> bool:
         return not self.labels and not self.central_basis
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalIdeal):
-            return NotImplemented
-        return self.labels == other.labels and self.central_basis == other.central_basis
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.central_basis))
 
     def __repr__(self) -> str:
         return (
@@ -297,11 +263,6 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
     return not _reduce_vector(_as_vector(dec.central), basis)
 
 
-def ideals_equal(a: RationalIdeal, b: RationalIdeal) -> bool:
-    """Structural equality of canonical forms."""
-    return a == b
-
-
 def verify_bracket_closure(
     sig: SurfaceSignature,
     ideal: RationalIdeal,
@@ -338,7 +299,7 @@ def verify_bracket_closure(
         v = Monomial(tuple(rng.randint(-radius, radius) for _ in range(sig.n)))
         result = bracket(sig, member, ModuleElement.single("Q", v, Fraction(1)))
         if not ideal_contains(sig, ideal, result):
-            return {"member": member.to_json_obj(), "against": list(v.exps)}
+            return {"member": member.to_json_obj(), "against": list(v)}
     return None
 
 

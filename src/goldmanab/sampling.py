@@ -95,9 +95,9 @@ def random_label(
     pairs = []
     for _ in range(count):
         mono = random_central_monomial(rng, sig, radius)
-        if mono.exps in seen:
+        if mono in seen:
             continue
-        seen.add(mono.exps)
+        seen.add(mono)
         pairs.append((mono, random_fraction(rng, coef_bound)))
     if not pairs:
         pairs = [(Monomial.identity(sig.n), Fraction(1))]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import Monomial, exponent_vector
-from .words import Word
+from .words import Word, _Value
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,13 @@ class SurfaceSignature:
         return f"genus {self.genus} with {self.boundary} boundary components"
 
 
-class PairingMatrix:
+class PairingMatrix(_Value):
     """The n x n integer matrix with rows[j-1][i-1] = <a_i, a_j>."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairingMatrix is immutable")
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        return cls._make(rows)
 
     @classmethod
     def for_signature(cls, sig: SurfaceSignature) -> "PairingMatrix":
@@ -89,17 +86,8 @@ class PairingMatrix:
         """<a_i, a_j> for 1-based generator indices."""
         return self.rows[j - 1][i - 1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairingMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
     def __repr__(self) -> str:
         return f"PairingMatrix({self.rows!r})"
-
-
-def pairing_matrix(sig: SurfaceSignature) -> PairingMatrix:
-    return sig.pairing_matrix
 
 
 def _require_length(sig: SurfaceSignature, x: Monomial) -> None:
@@ -116,9 +104,8 @@ def symplectic_product(sig: SurfaceSignature, x: Monomial, y: Monomial) -> int:
     """
     _require_length(sig, x)
     _require_length(sig, y)
-    a, b = x.exps, y.exps
     return sum(
-        a[2 * t] * b[2 * t + 1] - a[2 * t + 1] * b[2 * t] for t in range(sig.genus)
+        x[2 * t] * y[2 * t + 1] - x[2 * t + 1] * y[2 * t] for t in range(sig.genus)
     )
 
 
@@ -126,7 +113,7 @@ def pairing_vector(sig: SurfaceSignature, x: Monomial) -> tuple[int, ...]:
     """The matrix product A.X, so that symplectic_product(x, y) = Y . A.X."""
     _require_length(sig, x)
     rows = sig.pairing_matrix.rows
-    return tuple(sum(row[i] * x.exps[i] for i in range(sig.n)) for row in rows)
+    return tuple(sum(row[i] * x[i] for i in range(sig.n)) for row in rows)
 
 
 def center_generators(sig: SurfaceSignature) -> list[Monomial]:
@@ -140,7 +127,7 @@ def center_generators(sig: SurfaceSignature) -> list[Monomial]:
 def is_central(sig: SurfaceSignature, x: Monomial) -> bool:
     """True iff the pairing of x with every monomial vanishes."""
     _require_length(sig, x)
-    return not any(x.exps[: 2 * sig.genus])
+    return not any(x[: 2 * sig.genus])
 
 
 def intersection_pairing(sig: SurfaceSignature, u: Word, v: Word) -> int:

@@ -13,8 +13,46 @@ because the surface relator abelianizes to the identity.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, NamedTuple
+
+
+class _Value:
+    """Base of the package's immutable slotted values.
+
+    A subclass lists its fields in ``__slots__``.  Its public constructor
+    checks outside input and then calls :meth:`_make`; results computed
+    inside the package are valid by construction and call ``_make``
+    directly.  Equality and hashing compare the fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_values = operator.attrgetter(*cls.__slots__)
+        # Slot descriptors store a field without going through the guard.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _make(cls, *fields):
+        """Trusted constructor: store ``fields`` in slot order, unchecked."""
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, fields):
+            set_field(self, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
 
 
 class Letter(NamedTuple):
@@ -24,19 +62,23 @@ class Letter(NamedTuple):
     exp: int
 
 
-def _validate_letters(letters: tuple[Letter, ...], n: int) -> None:
+def _checked_letters(raw: Iterable[tuple[int, int]], n: int) -> tuple[Letter, ...]:
+    """Outside letter data as reduced run-length letters, or ValueError."""
+    letters = tuple(Letter(g, e) for g, e in raw)
     prev_gen = 0
     for let in letters:
         if not 1 <= let.gen <= n:
             raise ValueError(f"generator index {let.gen} out of range 1..{n}")
+        _check_exponent(let.exp)
         if let.exp == 0:
             raise ValueError("zero-exponent letter")
         if let.gen == prev_gen:
             raise ValueError("adjacent letters share a generator; word not reduced")
         prev_gen = let.gen
+    return letters
 
 
-class Word:
+class Word(_Value):
     """A freely reduced word in the free group on a1..an.
 
     Instances are immutable.  Use :func:`reduce_word` (or :func:`parse_word`)
@@ -50,16 +92,9 @@ class Word:
 
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: Iterable[Letter] = ()):
-        letters = tuple(Letter(g, e) for g, e in letters)
-        if n < 0:
-            raise ValueError("alphabet size must be nonnegative")
-        _validate_letters(letters, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+    def __new__(cls, n: int, letters: Iterable[Letter] = ()):
+        _check_alphabet(n)
+        return cls._make(n, _checked_letters(letters, n))
 
     @classmethod
     def identity(cls, n: int) -> "Word":
@@ -79,21 +114,23 @@ class Word:
         return inverse(self)
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word.identity(self.n)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        """``conj * core^k * conj^-1``, with core and conj from :func:`cyclic_reduce`.
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.n == other.n and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters))
+        A cyclically reduced core repeats without cancellation, and a
+        one-letter core only scales its exponent.
+        """
+        k = operator.index(k)
+        core, conj = cyclic_reduce(self)
+        if k < 0:
+            core, k = inverse(core), -k
+        if k == 0 or core.is_identity():
+            return Word._make(self.n, ())
+        if len(core.letters) == 1:
+            (gen, exp), = core.letters
+            power = (Letter(gen, exp * k),)
+        else:
+            power = core.letters * k
+        return concat(concat(conj, Word._make(self.n, power)), inverse(conj))
 
     def __repr__(self) -> str:
         return f"Word({self.n}, {format_word(self)!r})"
@@ -102,7 +139,7 @@ class Word:
         return format_word(self)
 
 
-class CyclicWord:
+class CyclicWord(_Value):
     """A cyclically reduced word stored in its least rotation.
 
     The stored rotation is the lexicographically least one under the letter
@@ -112,32 +149,31 @@ class CyclicWord:
 
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: Iterable[Letter] = ()):
-        letters = tuple(Letter(g, e) for g, e in letters)
-        _validate_letters(letters, n)
+    def __new__(cls, n: int, letters: Iterable[Letter] = ()):
+        letters = _checked_letters(letters, n)
         if len(letters) >= 2 and letters[0].gen == letters[-1].gen:
             raise ValueError("first and last letter share a generator; not cyclically reduced")
-        if len(letters) >= 2 and letters != min(
-            letters[i:] + letters[:i] for i in range(len(letters))
-        ):
+        if letters != _least_rotation(letters):
             raise ValueError("letters not in canonical rotation")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return self.n == other.n and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters))
+        return cls._make(n, letters)
 
     def __repr__(self) -> str:
         body = " ".join(_format_letter(let) for let in self.letters)
         return f"CyclicWord({self.n}, {body!r})"
+
+
+def _check_alphabet(n: int) -> None:
+    if n < 0:
+        raise ValueError("alphabet size must be nonnegative")
+
+
+def _check_exponent(exp: int) -> None:
+    if not isinstance(exp, int):
+        raise TypeError(f"exponent {exp!r} is not an exact integer")
+
+
+def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
 
 
 def _push(stack: list[Letter], gen: int, exp: int) -> None:
@@ -164,12 +200,14 @@ def reduce_word(raw: Iterable[tuple[int, int]], n: int) -> Word:
     >>> str(reduce_word([(1, 1), (2, 1)], n=2))
     'a1 a2'
     """
+    _check_alphabet(n)
     stack: list[Letter] = []
     for gen, exp in raw:
         if not 1 <= gen <= n:
             raise ValueError(f"generator index {gen} out of range 1..{n}")
+        _check_exponent(exp)
         _push(stack, gen, exp)
-    return Word(n, stack)
+    return Word._make(n, tuple(stack))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -177,14 +215,14 @@ def concat(u: Word, v: Word) -> Word:
     if u.n != v.n:
         raise ValueError(f"alphabet mismatch: {u.n} vs {v.n}")
     stack = list(u.letters)
-    for let in v.letters:
-        _push(stack, let.gen, let.exp)
-    return Word(u.n, stack)
+    for gen, exp in v.letters:
+        _push(stack, gen, exp)
+    return Word._make(u.n, tuple(stack))
 
 
 def inverse(w: Word) -> Word:
     """The inverse word: letters reversed, exponents negated."""
-    return Word(w.n, tuple(Letter(let.gen, -let.exp) for let in reversed(w.letters)))
+    return Word._make(w.n, tuple(Letter(gen, -exp) for gen, exp in reversed(w.letters)))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -210,16 +248,13 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
             conj.append(first)
             letters = letters[1:-1] + [Letter(first.gen, total)]
             break
-    return Word(w.n, letters), Word(w.n, conj)
+    return Word._make(w.n, tuple(letters)), Word._make(w.n, tuple(conj))
 
 
 def conjugacy_canonical(w: Word) -> CyclicWord:
     """Canonical cyclic form: invariant under free-group conjugation of w."""
     core, _ = cyclic_reduce(w)
-    letters = core.letters
-    if len(letters) >= 2:
-        letters = min(letters[i:] + letters[:i] for i in range(len(letters)))
-    return CyclicWord(w.n, letters)
+    return CyclicWord._make(w.n, _least_rotation(core.letters))
 
 
 def are_conjugate(u: Word, v: Word) -> bool:

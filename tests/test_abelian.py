@@ -35,6 +35,17 @@ class TestMonomial:
         with pytest.raises(TypeError):
             Monomial((1.5, 2))
 
+    def test_is_a_tuple_of_exponents(self):
+        x = Monomial((2, -3))
+        assert x == (2, -3) and hash(x) == hash((2, -3)) and x[1] == -3
+        assert sorted([Monomial((1, 0)), Monomial((0, 5))]) == [(0, 5), (1, 0)]
+
+    def test_no_tuple_concatenation_or_repetition(self):
+        with pytest.raises(TypeError):
+            Monomial((1, 2)) + Monomial((1, 2))
+        with pytest.raises(TypeError):
+            3 * Monomial((1, 2))
+
 
 class TestExponentVector:
     def test_identity(self):
@@ -109,7 +120,7 @@ class TestModuleElement:
 
     def test_sorted_iteration(self):
         u = ModuleElement("Z", [(Monomial((1, 0)), 1), (Monomial((0, 5)), 2)])
-        assert [m.exps for m, _ in u.terms()] == [(0, 5), (1, 0)]
+        assert [m for m, _ in u.terms()] == [(0, 5), (1, 0)]
 
     def test_ring_mismatch(self):
         with pytest.raises(ValueError, match="ring mismatch"):
@@ -127,6 +138,19 @@ class TestModuleElement:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
             ModuleElement("Z", [(Monomial((1,)), 1), (Monomial((1, 2)), 1)])
+
+    def test_sum_of_mixed_lengths_rejected(self):
+        u = ModuleElement.single("Z", Monomial((1, 0)))
+        v = ModuleElement.single("Z", Monomial((1, 0, 0)))
+        with pytest.raises(ValueError, match="lengths"):
+            u + v
+        with pytest.raises(ValueError, match="lengths"):
+            u - v
+
+    def test_scaling_by_zero_gives_zero(self):
+        u = ModuleElement("Q", [(Monomial((1,)), Fraction(1, 2))])
+        assert u.scaled(0).is_zero()
+        assert u.scaled(0) == ModuleElement.zero("Q")
 
     @given(elements(2, "Z"), elements(2, "Z"))
     def test_addition_commutes(self, u, v):

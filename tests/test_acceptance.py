@@ -37,7 +37,6 @@ from goldmanab.rat_ideals import (
     closed_surface_classification_check,
     ideal_closure,
     ideal_contains,
-    ideals_equal,
     label_bracket_identity_holds,
 )
 from goldmanab.sampling import (
@@ -331,7 +330,7 @@ def test_criterion_08_ideal_round_trip():
                         )
                     )
                 rebuilt = ideal_closure(sig, generators)
-                assert ideals_equal(rebuilt, ideal)
+                assert rebuilt == ideal
 
 
 def test_criterion_09_chain_properties():

@@ -165,6 +165,30 @@ class TestErrorHandling:
         )
         assert code == 2 and "invalid JSON" in err
 
+    def test_generator_json_without_keys(self, capsys):
+        code, out, err = run_cli(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", "{}")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_exception_tuple_of_wrong_length(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ideal-check", "--closed", "1", "--rule", "ik",
+            "--K", "[(1,0,0)]", "--seed", "1",
+        )
+        assert code == 2 and out == "" and "length" in err
+
+    def test_zero_denominator_coefficient(self, capsys):
+        code, out, err = run_cli(capsys, "ab", "--closed", "1", "--coefs=1/0", "a1")
+        assert code == 2 and out == "" and "coefficient" in err
+
+    def test_zero_denominator_in_element_json(self, capsys):
+        elem = json.dumps({"ring": "Q", "terms": [{"exp": [1, 0, 0], "coef": "1/0"}]})
+        code, out, _ = run_cli(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", elem)
+        assert code == 2 and out == ""
+
+    def test_negative_nmax(self, capsys):
+        code, out, err = run_cli(capsys, "chain-separate", "--c", "1", "--nmax", "-3", "a1", "a2")
+        assert code == 2 and out == "" and "--nmax" in err
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "goldmanab", "no-such-command"],
@@ -221,7 +245,7 @@ class TestInjectedFault:
         from goldmanab.symplectic import symplectic_product as true_product
 
         def corrupted(sig, x, y):
-            return true_product(sig, x, y) - 2 * x.exps[0] * y.exps[1]
+            return true_product(sig, x, y) - 2 * x[0] * y[1]
 
         monkeypatch.setattr(bracket_mod, "symplectic_product", corrupted)
         report = st_mod.run_selftest(3, scale=0.05)

@@ -7,7 +7,6 @@ from goldmanab.symplectic import (
     center_generators,
     intersection_pairing,
     is_central,
-    pairing_matrix,
     pairing_vector,
     symplectic_product,
 )
@@ -37,17 +36,17 @@ class TestSignature:
 
 class TestPairingMatrix:
     def test_torus(self):
-        assert pairing_matrix(SurfaceSignature.closed(1)).rows == ((0, -1), (1, 0))
+        assert SurfaceSignature.closed(1).pairing_matrix.rows == ((0, -1), (1, 0))
 
     def test_annulus_like(self):
-        assert pairing_matrix(SurfaceSignature.with_boundary(0, 2)).rows == ((0,),)
+        assert SurfaceSignature.with_boundary(0, 2).pairing_matrix.rows == ((0,),)
 
     def test_boundary_block(self):
-        rows = pairing_matrix(SurfaceSignature.with_boundary(1, 2)).rows
+        rows = SurfaceSignature.with_boundary(1, 2).pairing_matrix.rows
         assert rows == ((0, -1, 0), (1, 0, 0), (0, 0, 0))
 
     def test_generator_pairing_orientation(self):
-        m = pairing_matrix(SurfaceSignature.closed(2))
+        m = SurfaceSignature.closed(2).pairing_matrix
         for t in (1, 2):
             assert m.generator_pairing(2 * t - 1, 2 * t) == 1
             assert m.generator_pairing(2 * t, 2 * t - 1) == -1
@@ -86,7 +85,7 @@ class TestSymplecticProduct:
     def test_matrix_route_agrees(self, data):
         sig, x, y = data
         assert symplectic_product(sig, x, y) == sum(
-            b * m for b, m in zip(y.exps, pairing_vector(sig, x))
+            b * m for b, m in zip(y, pairing_vector(sig, x))
         )
 
     @given(signatures().flatmap(lambda s: monomials(s.n).flatmap(
@@ -119,7 +118,7 @@ class TestCenter:
 
     def test_boundary_generators(self):
         gens = center_generators(SurfaceSignature.with_boundary(1, 3))
-        assert [g.exps for g in gens] == [(0, 0, 1, 0), (0, 0, 0, 1)]
+        assert gens == [(0, 0, 1, 0), (0, 0, 0, 1)]
 
     def test_membership(self):
         sig = SurfaceSignature.with_boundary(1, 2)

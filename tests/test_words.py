@@ -82,6 +82,31 @@ class TestInverse:
         assert (w.inverse() * w).is_identity()
 
 
+class TestPower:
+    @given(words(), st.integers(-6, 6))
+    def test_matches_repeated_product(self, w, k):
+        base = w if k >= 0 else w.inverse()
+        expected = Word.identity(w.n)
+        for _ in range(abs(k)):
+            expected = expected * base
+        assert w ** k == expected
+
+    def test_long_power_has_closed_form_length(self):
+        # Conjugator a1 and cyclic core a2 a3^2: |w^k| = 2 + 3k.
+        w = parse_word("a1 a2 a3^2 a1^-1", 3)
+        assert len(w ** 100_000) == 2 + 3 * 100_000
+        assert len(w ** -100_000) == 2 + 3 * 100_000
+
+    def test_one_letter_core_scales_its_exponent(self):
+        w = parse_word("a2 a1^3 a2^-1", 2)
+        assert w ** -4 == parse_word("a2 a1^-12 a2^-1", 2)
+        assert (w ** 4).letters == (Letter(2, 1), Letter(1, 12), Letter(2, -1))
+
+    def test_exponent_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            parse_word("a1", 1) ** 1.5
+
+
 class TestCyclicReduce:
     def test_one_step(self):
         core, conj = cyclic_reduce(parse_word("a1 a2 a1^-1", 2))
@@ -140,6 +165,12 @@ class TestConjugacy:
         cyc = conjugacy_canonical(parse_word("a2 a1", 2))
         assert cyc.letters == (Letter(1, 1), Letter(2, 1))
 
+    def test_cyclic_word_rejects_other_rotations(self):
+        with pytest.raises(ValueError, match="canonical rotation"):
+            CyclicWord(2, [(2, 1), (1, 1)])
+        with pytest.raises(ValueError, match="not cyclically reduced"):
+            CyclicWord(2, [(1, 1), (2, 1), (1, 1)])
+
     def test_canonical_after_reduction(self):
         assert conjugacy_canonical(parse_word("a1 a2 a1^-1", 2)) == CyclicWord(2, (Letter(2, 1),))
 
@@ -174,3 +205,20 @@ class TestImmutability:
 
     def test_word_hashable(self):
         assert len({parse_word("a1 a2", 2), parse_word("a1 a2", 2)}) == 1
+
+    def test_computed_word_is_immutable(self):
+        w = parse_word("a1 a2", 2) * parse_word("a2^-1 a1", 2)
+        with pytest.raises(AttributeError, match="Word is immutable"):
+            w.letters = ()
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="not reduced"):
+            Word(2, [(1, 1), (1, 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            reduce_word([], -1)
+
+    def test_exponents_must_be_exact_integers(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            Word(1, [(1, 1.5)])
+        with pytest.raises(TypeError, match="exact integer"):
+            reduce_word([(1, 1.5)], 1)
