@@ -13,7 +13,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .words import Word, _Value
+from .words import Word, _check_exponent, _Value
 
 Coefficient = Union[int, Fraction]
 
@@ -32,8 +32,7 @@ class Monomial(tuple):
     def __new__(cls, exps: Iterable[int]):
         exps = tuple(exps)
         for e in exps:
-            if not isinstance(e, int):
-                raise TypeError(f"exponent {e!r} is not an exact integer")
+            _check_exponent(e)
         return tuple.__new__(cls, exps)
 
     @classmethod
@@ -199,7 +198,7 @@ class ModuleElement(_Value):
             raise ValueError(f"unknown ring {ring!r}")
         terms = []
         for item in obj["terms"]:
-            mono = Monomial(tuple(int(e) for e in item["exp"]))
+            mono = Monomial(item["exp"])
             coef = int(item["coef"]) if ring == "Z" else Fraction(item["coef"])
             terms.append((mono, coef))
         return cls(ring, terms)

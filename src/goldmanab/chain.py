@@ -16,7 +16,15 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .words import Letter, Word, _checked_letters, _Value, are_conjugate, reduce_word
+from .words import (
+    Letter,
+    Word,
+    _checked_letters,
+    _least_rotation,
+    _Value,
+    are_conjugate,
+    reduce_word,
+)
 
 # A c-power exponent, or a maximal block of free-factor letters.
 Syllable = Union[int, tuple[Letter, ...]]
@@ -125,8 +133,13 @@ def project_word(w: Word, level: int, c: int) -> QuotientWord:
     if not 1 <= c <= w.n:
         raise ValueError(f"distinguished generator {c} out of range 1..{w.n}")
     stack: list[Letter] = []
-    for gen, exp in w.letters:
-        _push_quotient(stack, gen, exp, level, c)
+    for let in w.letters:
+        gen, exp = let
+        if (gen == c and symmetric_residue(exp, level) != exp) or (stack and stack[-1].gen == gen):
+            _push_quotient(stack, gen, exp, level, c)
+        else:
+            # Already in normal form and next to another generator: keep it.
+            stack.append(let)
     return QuotientWord._make(level, c, w.n, tuple(stack))
 
 
@@ -157,11 +170,15 @@ def _cyclic_syllables(q: QuotientWord) -> list[Syllable]:
     # Conjugate away matching ends until the syllable cycle is reduced; the
     # cycle alternates, so equal ends are both c-powers or both free blocks.
     syl = _syllables(q)
-    while len(syl) >= 2 and isinstance(syl[0], int) == isinstance(syl[-1], int):
-        merged = _merge_syllables(syl[-1], syl[0], q.level, q.alphabet)
-        middle = syl[1:-1]
-        syl = middle if merged is None else [merged] + middle
-    return syl
+    lo, hi = 0, len(syl)  # the cycle is syl[lo:hi]
+    while hi - lo >= 2 and isinstance(syl[lo], int) == isinstance(syl[hi - 1], int):
+        merged = _merge_syllables(syl[hi - 1], syl[lo], q.level, q.alphabet)
+        hi -= 1
+        if merged is None:
+            lo += 1
+        else:
+            syl[lo] = merged
+    return syl[lo:hi]
 
 
 def conjugate_in_quotient(x: QuotientWord, y: QuotientWord) -> bool:
@@ -169,8 +186,8 @@ def conjugate_in_quotient(x: QuotientWord, y: QuotientWord) -> bool:
 
     Both sides are cyclically reduced at the syllable level; single-factor
     elements are compared inside their factor (equal residues for c-powers,
-    free-group conjugacy otherwise) and longer normal forms by rotation of
-    their syllable cycles.
+    free-group conjugacy otherwise) and longer normal forms by the least
+    rotations of their syllable cycles, in time linear in the syllables.
     """
     x._require_compatible(y)
     sx, sy = _cyclic_syllables(x), _cyclic_syllables(y)
@@ -185,7 +202,10 @@ def conjugate_in_quotient(x: QuotientWord, y: QuotientWord) -> bool:
         return are_conjugate(Word._make(x.alphabet, vx), Word._make(y.alphabet, vy))
     if len(sx) != len(sy):
         return False
-    return any(sy == sx[i:] + sx[:i] for i in range(len(sx)))
+    # One order on both kinds: c-powers (int) before free blocks (tuple).
+    keyed_x = [(isinstance(s, tuple), s) for s in sx]
+    keyed_y = [(isinstance(s, tuple), s) for s in sy]
+    return _least_rotation(keyed_x) == _least_rotation(keyed_y)
 
 
 def kernel_element(

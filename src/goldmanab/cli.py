@@ -65,7 +65,7 @@ def _parse_word_loose(text: str, c: int) -> Word:
 def _parse_tuple_set(text: str) -> list[tuple[int, ...]]:
     try:
         value = ast.literal_eval(text)
-        out = [tuple(int(e) for e in t) for t in value]
+        out = [tuple(t) for t in value]
     except (ValueError, SyntaxError, TypeError) as exc:
         raise CliError(f"cannot parse tuple set {text!r}") from exc
     return out
@@ -133,13 +133,13 @@ def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodu
             raise CliError("--rule ik requires --K")
         try:
             return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(str(exc)) from exc
     if args.table is None:
         raise CliError("--rule table requires --table")
     obj = _parse_json(args.table, "--table")
     try:
-        values = {tuple(int(e) for e in key): int(a) for key, a in obj.get("values", [])}
+        values = {tuple(key): int(a) for key, a in obj.get("values", [])}
         return int_ideals.TableSubmodule(
             sig.n, int(obj["radius"]), values, default=int(obj.get("default", 1))
         )
@@ -176,7 +176,7 @@ def _cmd_ik_family(args) -> tuple[dict, int]:
         family = int_ideals.gcd_submodule_family(
             _parse_tuple_set(args.K0), args.count, n=args.n
         )
-    except (ValueError, StopIteration) as exc:
+    except (TypeError, ValueError, StopIteration) as exc:
         raise CliError(str(exc)) from exc
     return {
         "submodules": [
@@ -242,7 +242,10 @@ def _cmd_chain_separate(args) -> tuple[dict, int]:
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
-    report = selftest.run_selftest(args.seed, args.scale)
+    try:
+        report = selftest.run_selftest(args.seed, args.scale)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return report, 0 if report["all_passed"] else 1
 
 

@@ -22,6 +22,11 @@ from .abelian import ModuleElement, Monomial
 from .symplectic import SurfaceSignature, symplectic_product
 
 
+def _exponent_tuple(t: Iterable[int]) -> tuple[int, ...]:
+    """Outside exponent data as a plain tuple; non-integers raise TypeError."""
+    return tuple(Monomial(t))
+
+
 def divides(d: int, x: int) -> bool:
     """Divisibility with the convention that only 0 is divisible by 0."""
     return x == 0 if d == 0 else x % d == 0
@@ -60,7 +65,7 @@ class GcdSubmodule(GeometricSubmodule):
     __slots__ = ("n", "exceptions")
 
     def __init__(self, n: int, exceptions: Iterable[tuple[int, ...]] = ()):
-        exceptions = frozenset(tuple(int(e) for e in t) for t in exceptions)
+        exceptions = frozenset(map(_exponent_tuple, exceptions))
         for t in exceptions:
             if len(t) != n:
                 raise ValueError(f"exception tuple {t} has length != {n}")
@@ -117,7 +122,7 @@ class TableSubmodule(GeometricSubmodule):
         for t in itertools.product(range(-radius, radius + 1), repeat=n):
             table[t] = default
         for t, a in (values or {}).items():
-            t = tuple(int(e) for e in t)
+            t = _exponent_tuple(t)
             if len(t) != n or max(map(abs, t), default=0) > radius:
                 raise ValueError(f"table key {t} outside the box")
             if a < 0:
@@ -283,7 +288,7 @@ def gcd_submodule_family(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    k0 = [tuple(int(e) for e in t) for t in k0]
+    k0 = [_exponent_tuple(t) for t in k0]
     if n is None:
         if not k0:
             raise ValueError("n is required when the base exception set is empty")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import ModuleElement, Monomial
+from .abelian import ModuleElement, Monomial, _merge_terms
 from .bracket import bracket
 from .symplectic import SurfaceSignature, is_central, symplectic_product
 from .words import _Value
@@ -87,7 +87,7 @@ class PrimitiveLabel(_Value):
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "PrimitiveLabel":
-        return cls((Monomial(tuple(int(e) for e in p["c"])), Fraction(p["q"])) for p in obj)
+        return cls((Monomial(p["c"]), Fraction(p["q"])) for p in obj)
 
 
 class Part(NamedTuple):
@@ -106,10 +106,9 @@ class CentralDecomposition:
     central: ModuleElement
 
     def reassemble(self) -> ModuleElement:
-        total = self.central
-        for label, base, coeff in self.parts:
-            total = total + label.element_at(base).scaled(coeff)
-        return total
+        """central + sum of coeff * label.element_at(base), merged in one pass."""
+        parts = ((m * base, q * coeff) for label, base, coeff in self.parts for m, q in label.pairs)
+        return ModuleElement._make("Q", _merge_terms(self.central._terms.items(), parts))
 
 
 def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecomposition:
@@ -123,6 +122,10 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
     """
     if u.ring != "Q":
         raise ValueError("decomposition is defined on the rational module")
+    # All monomials of an element share one length, so one term tells.
+    mono = next(iter(u._terms), None)
+    if mono is not None and len(mono) != sig.n:
+        raise ValueError(f"monomial length {len(mono)} != {sig.n} generators of the surface")
     g2 = 2 * sig.genus
     classes: dict[tuple[int, ...], list[tuple[Monomial, Fraction]]] = {}
     central_terms: list[tuple[Monomial, Fraction]] = []

@@ -8,6 +8,7 @@ counterexample, greedily minimized while it keeps failing.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Optional
@@ -745,6 +746,8 @@ def _scaled(base: int, scale: float) -> int:
 
 def run_selftest(seed: int, scale: float = 1.0) -> dict:
     """Run every suite; the report is a pure function of (seed, scale)."""
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and nonnegative, got {scale}")
     suites = []
     all_passed = True
     for suite_name, checks in SUITES:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class _Value:
@@ -45,6 +45,10 @@ class _Value:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the trusted constructor.
+        return self._make, tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -172,8 +176,33 @@ def _check_exponent(exp: int) -> None:
         raise TypeError(f"exponent {exp!r} is not an exact integer")
 
 
-def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
+def _least_rotation(seq: Sequence) -> Sequence:
+    """The lexicographically least rotation of ``seq``, in linear time.
+
+    Two-pointer scan (K. S. Booth, IPL 1980, in its i, j, k form): the
+    rotations at ``i`` and ``j`` agree on their first ``k`` items, so at the
+    first mismatch the larger one, and the ``k`` starts after it, cannot be
+    least.  At most about 5n item comparisons (``==`` and ``>``) for n
+    items of any mutually comparable kind; a tuple gives a tuple, a list a
+    list.
+    """
+    n = len(seq)
+    doubled = seq + seq
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return doubled[start:start + n]
 
 
 def _push(stack: list[Letter], gen: int, exp: int) -> None:
@@ -235,20 +264,18 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     >>> str(core), str(conj)
     ('a2', 'a1')
     """
-    letters = list(w.letters)
-    conj: list[Letter] = []
-    while len(letters) >= 2 and letters[0].gen == letters[-1].gen:
-        first, last = letters[0], letters[-1]
+    letters = w.letters
+    lo, hi = 0, len(letters)  # the core is letters[lo:hi], the conjugator letters[:lo]
+    merged: tuple[Letter, ...] = ()
+    while hi - lo >= 2 and letters[lo].gen == letters[hi - 1].gen:
+        first, last = letters[lo], letters[hi - 1]
+        lo, hi = lo + 1, hi - 1
         total = first.exp + last.exp
-        if total == 0:
-            conj.append(first)
-            letters = letters[1:-1]
-        else:
+        if total:
             # Ends merge instead of cancelling: rotate the first run inward.
-            conj.append(first)
-            letters = letters[1:-1] + [Letter(first.gen, total)]
+            merged = (Letter(first.gen, total),)
             break
-    return Word._make(w.n, tuple(letters)), Word._make(w.n, tuple(conj))
+    return Word._make(w.n, letters[lo:hi] + merged), Word._make(w.n, letters[:lo])
 
 
 def conjugacy_canonical(w: Word) -> CyclicWord:

@@ -180,3 +180,8 @@ class TestJson:
     @given(elements(3, "Q"))
     def test_round_trip_rational(self, u):
         assert ModuleElement.from_json_obj(json.loads(json.dumps(u.to_json_obj()))) == u
+
+    def test_fractional_exponent_rejected(self):
+        obj = {"ring": "Q", "terms": [{"exp": [1.7, 0], "coef": "1"}]}
+        with pytest.raises(TypeError, match="exact integer"):
+            ModuleElement.from_json_obj(obj)

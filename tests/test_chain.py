@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from goldmanab.chain import (
     QuotientWord,
@@ -12,7 +13,7 @@ from goldmanab.chain import (
     symmetric_residue,
     total_c_exponent,
 )
-from goldmanab.words import Word, are_conjugate, parse_word, reduce_word
+from goldmanab.words import Letter, Word, are_conjugate, parse_word, reduce_word
 
 from conftest import words
 
@@ -176,6 +177,83 @@ class TestConjugacy:
             x = project_word(raw(), level, 1)
             g = project_word(raw(), level, 1)
             assert conjugate_in_quotient(x, g * x * g.inverse())
+
+
+def loop_project_word(w, level, c):
+    """Oracle: every letter through residue reduction and the merge stack."""
+    stack = []
+    for gen, exp in w.letters:
+        if gen == c:
+            exp = symmetric_residue(exp, level)
+        if stack and stack[-1][0] == gen:
+            gen, prev = stack.pop()
+            exp += prev
+            if gen == c:
+                exp = symmetric_residue(exp, level)
+        if exp:
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def scan_conjugate_in_quotient(x, y):
+    """Oracle: syllable cycles compared by trying every rotation."""
+
+    def cycle(q):
+        syl, block = [], []
+        for gen, exp in q.letters:
+            if gen == q.c:
+                syl += [tuple(block)] if block else []
+                syl.append(exp)
+                block = []
+            else:
+                block.append(Letter(gen, exp))
+        syl += [tuple(block)] if block else []
+        while len(syl) >= 2 and isinstance(syl[0], int) == isinstance(syl[-1], int):
+            if isinstance(syl[0], int):
+                merged = symmetric_residue(syl[-1] + syl[0], q.level) or None
+            else:
+                merged = reduce_word(syl[-1] + syl[0], q.alphabet).letters or None
+            syl = syl[1:-1] if merged is None else [merged] + syl[1:-1]
+        return syl
+
+    sx, sy = cycle(x), cycle(y)
+    if len(sx) <= 1 or len(sy) <= 1:
+        if len(sx) != len(sy):
+            return False
+        if not sx:
+            return True
+        if isinstance(sx[0], int) or isinstance(sy[0], int):
+            return sx[0] == sy[0]
+        return are_conjugate(Word(x.alphabet, sx[0]), Word(y.alphabet, sy[0]))
+    return len(sx) == len(sy) and any(sy == sx[i:] + sx[:i] for i in range(len(sx)))
+
+
+class TestAgainstLoopOracles:
+    @given(words(3, max_len=10, max_exp=9), st.integers(1, 3), st.integers(0, 6))
+    @settings(max_examples=300)
+    def test_project_word(self, w, c, level):
+        assert project_word(w, level, c).letters == loop_project_word(w, level, c)
+
+    @given(
+        words(3, max_len=10, max_exp=6),
+        words(3, max_len=6, max_exp=6),
+        words(3, max_len=10, max_exp=6),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=300)
+    def test_conjugate_in_quotient(self, w, g, v, level):
+        x = project_word(w, level, 1)
+        for other in (g * w * g.inverse(), v, w * g, g * w):
+            y = project_word(other, level, 1)
+            assert conjugate_in_quotient(x, y) == scan_conjugate_in_quotient(x, y)
+
+    def test_long_conjugates(self):
+        rng = random.Random(11)
+        raw = [(rng.randint(1, 3), rng.choice((-3, -1, 1, 2, 4))) for _ in range(3000)]
+        w, g = reduce_word(raw, 3), reduce_word(raw[:40], 3)
+        for level in range(7):
+            x, y = project_word(w, level, 1), project_word(g * w * g.inverse(), level, 1)
+            assert conjugate_in_quotient(x, y) and scan_conjugate_in_quotient(x, y)
 
 
 class TestKernelElement:

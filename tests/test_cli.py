@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from goldmanab.cli import main
+from goldmanab.selftest import run_selftest
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,44 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "chain-separate", "--c", "1", "--nmax", "-3", "a1", "a2")
         assert code == 2 and out == "" and "--nmax" in err
 
+    def test_fractional_exponent_in_element_json(self, capsys):
+        elem = json.dumps({"ring": "Q", "terms": [{"exp": [1.7, 0, 0], "coef": "1"}]})
+        code, out, err = run_cli(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", elem)
+        assert code == 2 and out == "" and "exact integer" in err
+
+    def test_fractional_exception_tuple(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ideal-check", "--closed", "1", "--rule", "ik",
+            "--K", "[(1.5,0)]", "--seed", "1",
+        )
+        assert code == 2 and out == "" and "exact integer" in err
+
+    def test_fractional_base_tuple(self, capsys):
+        code, out, err = run_cli(capsys, "ik-family", "--K0", "[(1.5,0)]", "--count", "2")
+        assert code == 2 and out == "" and "exact integer" in err
+
+    def test_fractional_table_key(self, capsys):
+        table = json.dumps({"radius": 1, "values": [[[0.5, 0], 2]]})
+        code, out, err = run_cli(
+            capsys, "ideal-check", "--closed", "1", "--rule", "table",
+            "--table", table, "--seed", "1",
+        )
+        assert code == 2 and out == "" and "exact integer" in err
+
+    def test_element_of_wrong_length(self, capsys):
+        elem = json.dumps({"ring": "Q", "terms": [{"exp": [1, 0], "coef": "1"}]})
+        code, out, err = run_cli(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", elem)
+        assert code == 2 and out == "" and "length" in err
+
+    def test_negative_selftest_scale(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--scale", "-1")
+        assert code == 2 and out == "" and "scale" in err
+
+    def test_non_finite_selftest_scale(self, capsys):
+        for scale in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--scale", scale)
+            assert code == 2 and out == "" and "scale" in err
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "goldmanab", "no-such-command"],
@@ -218,6 +259,10 @@ class TestSelftestCommand:
         report = json.loads(out)
         assert report["seed"] == 9
         assert report["all_passed"] is True
+
+    def test_negative_scale_refused(self):
+        with pytest.raises(ValueError, match="scale"):
+            run_selftest(1, -1)
 
     def test_byte_identical_reports(self):
         runs = [

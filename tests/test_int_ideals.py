@@ -68,6 +68,10 @@ class TestGcdRule:
         with pytest.raises(ValueError, match="length"):
             GcdSubmodule(2, {(1, 0, 0)})
 
+    def test_fractional_exception_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            GcdSubmodule(2, {(1.5, 0)})
+
 
 class TestTableRule:
     def test_lookup_and_default(self):
@@ -87,6 +91,10 @@ class TestTableRule:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TableSubmodule(2, 1, {(1, 0): -1})
+
+    def test_fractional_key_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            TableSubmodule(2, 1, {(0.5, 0): 2})
 
 
 class TestBracketClosureCheck:
@@ -219,3 +227,7 @@ class TestFamily:
     def test_count_positive(self):
         with pytest.raises(ValueError, match="count"):
             gcd_submodule_family({(1, 0)}, 0)
+
+    def test_fractional_base_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            gcd_submodule_family({(1.5, 0)}, 2)

@@ -114,6 +114,16 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="rational"):
             decompose_by_center(TORUS, ModuleElement.zero("Z"))
 
+    def test_wrong_monomial_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            decompose_by_center(ONE_HOLED_TORUS, single((1, 0), 1))
+        with pytest.raises(ValueError, match="length"):
+            ideal_closure(ONE_HOLED_TORUS, [single((1, 0, 0, 0), 1)])
+
+    def test_zero_element_has_no_length_to_check(self):
+        dec = decompose_by_center(ONE_HOLED_TORUS, ModuleElement.zero("Q"))
+        assert dec.parts == () and dec.central.is_zero()
+
     @given(elements(3, "Q", max_terms=6))
     def test_reassembly_lossless(self, u):
         assert decompose_by_center(ONE_HOLED_TORUS, u).reassemble() == u
@@ -299,3 +309,7 @@ class TestRoundTrip:
             [single((0, 0, 1, 2), q(1, 3)) + single((0, 0, 0, 1), 2)],
         )
         assert RationalIdeal.from_json_obj(json.loads(json.dumps(ideal.to_json_obj()))) == ideal
+
+    def test_fractional_label_exponent_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            PrimitiveLabel.from_json_obj([{"c": [0, 0, 0.5], "q": "1"}])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -6,6 +8,7 @@ from goldmanab.words import (
     CyclicWord,
     Letter,
     Word,
+    _least_rotation,
     are_conjugate,
     concat,
     conjugacy_canonical,
@@ -177,6 +180,96 @@ class TestConjugacy:
     @given(words(), words())
     def test_invariant_under_conjugation(self, g, w):
         assert conjugacy_canonical(g * w * g.inverse()) == conjugacy_canonical(w)
+
+
+def brute_least_rotation(seq):
+    """Oracle: the least of all n rotations, built one by one."""
+    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
+
+
+def loop_cyclic_reduce(w):
+    """Oracle: peel matching ends one pair at a time."""
+    letters, conj = list(w.letters), []
+    while len(letters) >= 2 and letters[0].gen == letters[-1].gen:
+        first, last = letters[0], letters[-1]
+        conj.append(first)
+        if first.exp + last.exp:
+            letters = letters[1:-1] + [Letter(first.gen, first.exp + last.exp)]
+            break
+        letters = letters[1:-1]
+    return tuple(letters), tuple(conj)
+
+
+class Counted:
+    """An item that counts every comparison made on it."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        Counted.calls += 1
+        return self.value == other.value
+
+    def __lt__(self, other):
+        Counted.calls += 1
+        return self.value < other.value
+
+    def __gt__(self, other):
+        Counted.calls += 1
+        return self.value > other.value
+
+
+class TestLeastRotation:
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    def test_matches_brute_force(self, items):
+        assert _least_rotation(items) == brute_least_rotation(items)
+        assert _least_rotation(tuple(items)) == brute_least_rotation(tuple(items))
+
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=5), st.integers(1, 12))
+    def test_periodic(self, period, k):
+        items = tuple(period) * k
+        assert _least_rotation(items) == brute_least_rotation(items)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_all_equal(self, n):
+        assert _least_rotation((5,) * n) == (5,) * n
+
+    def test_empty_and_single(self):
+        assert _least_rotation(()) == ()
+        assert _least_rotation([]) == []
+        assert _least_rotation((Letter(2, -1),)) == (Letter(2, -1),)
+
+    @given(words(max_len=12))
+    def test_letters(self, w):
+        assert _least_rotation(w.letters) == brute_least_rotation(w.letters)
+
+    @pytest.mark.parametrize("kind", ["all_equal", "period_2", "random"])
+    def test_linear_comparison_count(self, kind):
+        n = 10_000
+        rng = random.Random(5)
+        values = {
+            "all_equal": [0] * n,
+            "period_2": [0, 1] * (n // 2),
+            "random": [rng.randrange(3) for _ in range(n)],
+        }[kind]
+        items = tuple(map(Counted, values))
+        Counted.calls = 0
+        result = _least_rotation(items)
+        assert Counted.calls <= 6 * n
+        # The result is a rotation of the very same items, least among all.
+        start = next(i for i, x in enumerate(items) if x is result[0])
+        assert result == items[start:] + items[:start]
+        assert [x.value for x in result] == brute_least_rotation(values)
+
+
+class TestCyclicReduceOracle:
+    @given(words(n=2, max_len=12), words(n=2, max_len=6))
+    def test_matches_loop(self, w, g):
+        for word in (w, g * w * g.inverse()):
+            core, conj = cyclic_reduce(word)
+            assert (core.letters, conj.letters) == loop_cyclic_reduce(word)
 
 
 class TestGrammar:
