@@ -13,7 +13,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .words import Word, _check_exponent, _Value
+from .words import Word, _check_integer, _Value
 
 Coefficient = Union[int, Fraction]
 
@@ -32,7 +32,7 @@ class Monomial(tuple):
     def __new__(cls, exps: Iterable[int]):
         exps = tuple(exps)
         for e in exps:
-            _check_exponent(e)
+            _check_integer(e)
         return tuple.__new__(cls, exps)
 
     @classmethod
@@ -79,6 +79,13 @@ def _check_coefficient(ring: str, coef: Coefficient) -> Coefficient:
             return Fraction(coef)
         raise TypeError(f"ring Q requires exact rational coefficients, got {coef!r}")
     raise ValueError(f"unknown ring {ring!r}")
+
+
+def _exact_from_json(value, ring: str) -> Coefficient:
+    """A coefficient read from JSON: a string or an int, never a binary float."""
+    if not isinstance(value, (str, int)):
+        raise TypeError(f"coefficient {value!r} must be a string or an integer")
+    return int(value) if ring == "Z" else Fraction(value)
 
 
 def _merge_terms(*term_lists: Iterable[tuple[Monomial, Coefficient]]) -> dict:
@@ -199,8 +206,7 @@ class ModuleElement(_Value):
         terms = []
         for item in obj["terms"]:
             mono = Monomial(item["exp"])
-            coef = int(item["coef"]) if ring == "Z" else Fraction(item["coef"])
-            terms.append((mono, coef))
+            terms.append((mono, _exact_from_json(item["coef"], ring)))
         return cls(ring, terms)
 
 

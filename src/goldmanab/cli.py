@@ -1,7 +1,7 @@
 """Command-line interface emitting deterministic JSON reports.
 
 Exit codes: 0 on success, 1 when a check command reaches a negative
-verdict, 2 on usage or parse errors.  Randomized commands require an
+verdict, 2 on usage errors and bad input.  Randomized commands require an
 explicit seed and echo it in the report, so every reported counterexample
 is reproducible.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,11 +19,7 @@ from . import chain, int_ideals, rat_ideals, selftest
 from .abelian import ModuleElement, abelianize, exponent_vector
 from .bracket import bracket
 from .symplectic import SurfaceSignature, center_generators, symplectic_product
-from .words import Word, parse_word
-
-
-class CliError(Exception):
-    """Bad input on the command line (exit code 2)."""
+from .words import Word, are_conjugate, parse_word
 
 
 def _add_surface_flags(parser: argparse.ArgumentParser) -> None:
@@ -38,43 +35,29 @@ def _add_surface_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _surface(args) -> SurfaceSignature:
-    try:
-        if args.closed is not None:
-            return SurfaceSignature.closed(args.closed)
-        return SurfaceSignature.with_boundary(*args.boundary)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _parse_word(text: str, n: int) -> Word:
-    try:
-        return parse_word(text, n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.closed is not None:
+        return SurfaceSignature.closed(args.closed)
+    return SurfaceSignature.with_boundary(*args.boundary)
 
 
 def _parse_word_loose(text: str, c: int) -> Word:
     """Parse with the alphabet inferred from the word itself and c."""
-    import re
-
     gens = [int(m.group(1)) for m in re.finditer(r"a(\d+)", text)]
-    n = max(gens + [c, 1])
-    return _parse_word(text, n)
+    return parse_word(text, max(gens + [c, 1]))
 
 
 def _parse_tuple_set(text: str) -> list[tuple[int, ...]]:
     try:
-        value = ast.literal_eval(text)
-        out = [tuple(t) for t in value]
+        return [tuple(t) for t in ast.literal_eval(text)]
     except (ValueError, SyntaxError, TypeError) as exc:
-        raise CliError(f"cannot parse tuple set {text!r}") from exc
-    return out
+        raise ValueError(f"cannot parse tuple set {text!r}") from exc
 
-def _parse_json(text: str, what: str) -> dict:
+
+def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON for {what}: {exc}") from exc
+        raise ValueError(f"invalid JSON for {what}: {exc}") from exc
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -87,8 +70,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_bracket(args) -> tuple[dict, int]:
     sig = _surface(args)
-    u = abelianize([(1, _parse_word(args.word1, sig.n))], sig.n)
-    v = abelianize([(1, _parse_word(args.word2, sig.n))], sig.n)
+    u = abelianize([(1, parse_word(args.word1, sig.n))], sig.n)
+    v = abelianize([(1, parse_word(args.word2, sig.n))], sig.n)
     if args.ring == "Q":
         u, v = u.to_rational(), v.to_rational()
     return bracket(sig, u, v).to_json_obj(), 0
@@ -96,25 +79,25 @@ def _cmd_bracket(args) -> tuple[dict, int]:
 
 def _cmd_ab(args) -> tuple[dict, int]:
     sig = _surface(args)
-    words = [_parse_word(text, sig.n) for text in args.words]
+    words = [parse_word(text, sig.n) for text in args.words]
     if args.coefs is None:
         coef_strings = ["1"] * len(words)
     else:
         coef_strings = [c.strip() for c in args.coefs.split(",")]
     if len(coef_strings) != len(words):
-        raise CliError("need exactly one coefficient per word")
+        raise ValueError("need exactly one coefficient per word")
     ring = args.ring or ("Q" if any("/" in c for c in coef_strings) else "Z")
     try:
         coefs = [Fraction(c) if ring == "Q" else int(c) for c in coef_strings]
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad coefficient: {exc}") from exc
+        raise ValueError(f"bad coefficient: {exc}") from exc
     return abelianize(list(zip(coefs, words)), sig.n, ring=ring).to_json_obj(), 0
 
 
 def _cmd_pair(args) -> tuple[dict, int]:
     sig = _surface(args)
-    x = exponent_vector(_parse_word(args.word1, sig.n), sig.n)
-    y = exponent_vector(_parse_word(args.word2, sig.n), sig.n)
+    x = exponent_vector(parse_word(args.word1, sig.n), sig.n)
+    y = exponent_vector(parse_word(args.word2, sig.n), sig.n)
     return {"value": str(symplectic_product(sig, x, y))}, 0
 
 
@@ -130,36 +113,22 @@ def _cmd_center(args) -> tuple[dict, int]:
 def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodule:
     if args.rule == "ik":
         if args.K is None:
-            raise CliError("--rule ik requires --K")
-        try:
-            return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
-        except (TypeError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
+            raise ValueError("--rule ik requires --K")
+        return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
     if args.table is None:
-        raise CliError("--rule table requires --table")
+        raise ValueError("--rule table requires --table")
     obj = _parse_json(args.table, "--table")
-    try:
-        values = {tuple(key): int(a) for key, a in obj.get("values", [])}
-        return int_ideals.TableSubmodule(
-            sig.n, int(obj["radius"]), values, default=int(obj.get("default", 1))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad table rule: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("--table must be a JSON object")
+    values = {tuple(key): a for key, a in obj.get("values", [])}
+    return int_ideals.TableSubmodule(sig.n, obj["radius"], values, default=obj.get("default", 1))
 
 
 def _cmd_ideal_check(args) -> tuple[dict, int]:
     sig = _surface(args)
     sub = _build_submodule(args, sig)
-    try:
-        report = int_ideals.bracket_closure_check(
-            sig,
-            sub,
-            args.box,
-            samples=None if args.exhaustive else args.samples,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    samples = None if args.exhaustive else args.samples
+    report = int_ideals.bracket_closure_check(sig, sub, args.box, samples, seed=args.seed)
     out = {
         "verdict": report.ok,
         "seed": args.seed,
@@ -172,12 +141,7 @@ def _cmd_ideal_check(args) -> tuple[dict, int]:
 
 
 def _cmd_ik_family(args) -> tuple[dict, int]:
-    try:
-        family = int_ideals.gcd_submodule_family(
-            _parse_tuple_set(args.K0), args.count, n=args.n
-        )
-    except (TypeError, ValueError, StopIteration) as exc:
-        raise CliError(str(exc)) from exc
+    family = int_ideals.gcd_submodule_family(_parse_tuple_set(args.K0), args.count, n=args.n)
     return {
         "submodules": [
             {"K": [list(t) for t in sorted(sub.exceptions)]} for sub in family
@@ -187,65 +151,40 @@ def _cmd_ik_family(args) -> tuple[dict, int]:
 
 def _cmd_ideal_closure(args) -> tuple[dict, int]:
     sig = _surface(args)
-    generators = []
-    for text in args.gen or []:
-        try:
-            elem = ModuleElement.from_json_obj(_parse_json(text, "--gen"))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad --gen element: {exc}") from exc
-        if elem.ring != "Q":
-            raise CliError("ideal generators must be rational elements")
-        generators.append(elem)
-    try:
-        ideal = rat_ideals.ideal_closure(sig, generators)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return ideal.to_json_obj(), 0
+    generators = [ModuleElement.from_json_obj(_parse_json(text, "--gen")) for text in args.gen or []]
+    return rat_ideals.ideal_closure(sig, generators).to_json_obj(), 0
 
 
 def _cmd_ideal_member(args) -> tuple[dict, int]:
     sig = _surface(args)
-    try:
-        ideal = rat_ideals.RationalIdeal.from_json_obj(_parse_json(args.ideal, "--ideal"))
-        elem = ModuleElement.from_json_obj(_parse_json(args.elem, "--elem"))
-        verdict = rat_ideals.ideal_contains(sig, ideal, elem)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(str(exc)) from exc
+    ideal = rat_ideals.RationalIdeal.from_json_obj(_parse_json(args.ideal, "--ideal"))
+    elem = ModuleElement.from_json_obj(_parse_json(args.elem, "--elem"))
+    verdict = rat_ideals.ideal_contains(sig, ideal, elem)
     return {"verdict": verdict}, 0 if verdict else 1
 
 
 def _cmd_chain_project(args) -> tuple[dict, int]:
-    word = _parse_word_loose(args.word, args.c)
-    try:
-        image = chain.project_word(word, args.n, args.c)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    image = chain.project_word(_parse_word_loose(args.word, args.c), args.n, args.c)
     return {"word": str(image.to_word())}, 0
 
 
 def _cmd_chain_separate(args) -> tuple[dict, int]:
     if args.nmax < 0:
-        raise CliError("--nmax must be nonnegative")
+        raise ValueError("--nmax must be nonnegative")
     a = _parse_word_loose(args.word_a, args.c)
     b = _parse_word_loose(args.word_b, args.c)
     n = max(a.n, b.n)
     a, b = Word(n, a.letters), Word(n, b.letters)
-    try:
-        level = chain.separation_level(a, b, args.c, args.nmax)
-    except ValueError as exc:
-        if "conjugate" in str(exc):
-            return {"result": "conjugate"}, 1
-        raise CliError(str(exc)) from exc
+    if are_conjugate(a, b):
+        return {"result": "conjugate"}, 1
+    level = chain.separation_level(a, b, args.c, args.nmax)
     if level is None:
         return {"result": "not separated", "nmax": args.nmax}, 1
     return {"level": level}, 0
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
-    try:
-        report = selftest.run_selftest(args.seed, args.scale)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = selftest.run_selftest(args.seed, args.scale)
     return report, 0 if report["all_passed"] else 1
 
 
@@ -331,12 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report, code = args.run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # The one place that turns bad input into exit code 2.  AttributeError
+        # and IndexError are faults of the program and keep their traceback.
+        # A KeyError's text is only the key that the JSON input lacks.
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return 2
     _emit(report, args.format)
     return code

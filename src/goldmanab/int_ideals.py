@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional
 
 from .abelian import ModuleElement, Monomial
 from .symplectic import SurfaceSignature, symplectic_product
+from .words import _check_integer
 
 
 def _exponent_tuple(t: Iterable[int]) -> tuple[int, ...]:
@@ -112,6 +113,8 @@ class TableSubmodule(GeometricSubmodule):
         values: dict[tuple[int, ...], int] | None = None,
         default: int = 1,
     ):
+        _check_integer(radius, "radius")
+        _check_integer(default, "rule value")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         if default < 0:
@@ -125,9 +128,10 @@ class TableSubmodule(GeometricSubmodule):
             t = _exponent_tuple(t)
             if len(t) != n or max(map(abs, t), default=0) > radius:
                 raise ValueError(f"table key {t} outside the box")
+            _check_integer(a, "rule value")
             if a < 0:
                 raise ValueError("rule values must be nonnegative")
-            table[t] = int(a)
+            table[t] = a
         self.values = table
 
     def min_multiple(self, x: Monomial) -> int:
@@ -163,11 +167,15 @@ def _box_monomials(n: int, radius: int) -> Iterator[Monomial]:
 def _pair_stream(
     n: int, radius: int, samples: Optional[int], seed: Optional[int]
 ) -> Iterator[tuple[Monomial, Monomial]]:
+    if radius < 0:
+        raise ValueError(f"box radius must be nonnegative, got {radius}")
     if samples is None:
         for v in _box_monomials(n, radius):
             for w in _box_monomials(n, radius):
                 yield v, w
         return
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if seed is None:
         raise ValueError("sampled checks require an explicit seed")
     rng = random.Random(seed)
@@ -188,7 +196,8 @@ def bracket_closure_check(
 
     Pairs (v, w) are drawn from the box [-radius, radius]^n (exhaustively
     when ``samples`` is None); pairs whose product leaves the rule's domain
-    are skipped and counted.  The first violation is reported.
+    are skipped and counted.  The first violation is reported.  A negative
+    ``radius`` or ``samples`` raises ValueError.
     """
     checked = skipped = 0
     for v, w in _pair_stream(sig.n, radius, samples, seed):

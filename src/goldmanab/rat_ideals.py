@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import ModuleElement, Monomial, _merge_terms
+from .abelian import ModuleElement, Monomial, _exact_from_json, _merge_terms
 from .bracket import bracket
 from .symplectic import SurfaceSignature, is_central, symplectic_product
 from .words import _Value
@@ -37,6 +37,8 @@ class PrimitiveLabel(_Value):
             raise ValueError("a label needs at least one pair")
         if len({m for m, _ in pairs}) != len(pairs):
             raise ValueError("label monomials must be pairwise distinct")
+        if len({len(m) for m, _ in pairs}) > 1:
+            raise ValueError("label monomials must share one length")
         if any(q == 0 for _, q in pairs):
             raise ValueError("label weights must be nonzero")
         least_mono, least_q = pairs[0]
@@ -87,7 +89,7 @@ class PrimitiveLabel(_Value):
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "PrimitiveLabel":
-        return cls((Monomial(p["c"]), Fraction(p["q"])) for p in obj)
+        return cls((Monomial(p["c"]), _exact_from_json(p["q"], "Q")) for p in obj)
 
 
 class Part(NamedTuple):
@@ -258,7 +260,18 @@ def ideal_closure(
 
 
 def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement) -> bool:
-    """Exact membership: labels of all parts present, central part in span."""
+    """Exact membership: labels of all parts present, central part in span.
+
+    An ideal that does not fit the surface raises ValueError.  The monomials
+    of a label, like those of a central row, share one length.  A label
+    starts at the identity, so a non-central monomial in it sorts after all
+    central ones: its last pair is central only if every pair is.
+    """
+    probes = [lab.pairs[-1][0] for lab in ideal.labels]
+    probes += [next(iter(row._terms)) for row in ideal.central_basis]
+    for mono in probes:
+        if not is_central(sig, mono):  # raises on a length other than sig.n
+            raise ValueError(f"ideal monomial {tuple(mono)} is not central")
     dec = decompose_by_center(sig, u)
     if any(part.label not in ideal.labels for part in dec.parts):
         return False

@@ -63,24 +63,6 @@ def _word_variants(w: Word):
             yield reduce_word(raw, w.n)
 
 
-def minimize_words(words: tuple[Word, ...], fails: Callable[[tuple[Word, ...]], bool]):
-    """Greedy shrink: drop or shorten letters while the property keeps failing."""
-    current = tuple(words)
-    improved = True
-    while improved:
-        improved = False
-        for idx in range(len(current)):
-            for variant in _word_variants(current[idx]):
-                candidate = current[:idx] + (variant,) + current[idx + 1:]
-                if sum(map(len, candidate)) < sum(map(len, current)) and fails(candidate):
-                    current = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-    return current
-
-
 def _element_variants(u: ModuleElement):
     terms = u.terms()
     for i in range(len(terms)):
@@ -97,40 +79,36 @@ def _element_size(u: ModuleElement) -> int:
     return sum(1 + sum(map(abs, m)) + (abs(c) != 1) for m, c in u.terms())
 
 
-def minimize_elements(
-    elems: tuple[ModuleElement, ...],
-    fails: Callable[[tuple[ModuleElement, ...]], bool],
-):
-    """Greedy shrink: drop terms and simplify coefficients while still failing."""
-    current = tuple(elems)
-    improved = True
-    while improved:
-        improved = False
-        for idx in range(len(current)):
-            for variant in _element_variants(current[idx]):
-                candidate = current[:idx] + (variant,) + current[idx + 1:]
-                sizes = tuple(map(_element_size, candidate))
-                if sum(sizes) < sum(map(_element_size, current)) and fails(candidate):
-                    current = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-    return current
+def _shrink(items: tuple, variants, size, fails) -> tuple:
+    """Greedy shrink: swap in the first smaller variant that still fails.
+
+    Items are tried in order, and each item's variants in the order
+    ``variants`` yields them, until no smaller variant fails.
+    """
+    current = tuple(items)
+    while True:
+        weight = sum(map(size, current))
+        candidates = (
+            current[:i] + (variant,) + current[i + 1:]
+            for i, item in enumerate(current)
+            for variant in variants(item)
+        )
+        smaller = next((c for c in candidates if sum(map(size, c)) < weight and fails(c)), None)
+        if smaller is None:
+            return current
+        current = smaller
 
 
 def _word_failure(words: tuple[Word, ...], fails, **extra) -> dict:
-    small = minimize_words(words, fails)
+    small = _shrink(words, _word_variants, len, fails)
     payload = {f"word_{i}": str(w) for i, w in enumerate(small)}
-    payload.update(extra)
-    return {"counterexample": payload}
+    return {"counterexample": {**payload, **extra}}
 
 
 def _element_failure(elems: tuple[ModuleElement, ...], fails, **extra) -> dict:
-    small = minimize_elements(elems, fails)
+    small = _shrink(elems, _element_variants, _element_size, fails)
     payload = {f"element_{i}": u.to_json_obj() for i, u in enumerate(small)}
-    payload.update(extra)
-    return {"counterexample": payload}
+    return {"counterexample": {**payload, **extra}}
 
 
 # ---------------------------------------------------------------------------
@@ -147,30 +125,32 @@ def _check_reduce_idempotent(rng, count):
 
 
 def _check_concat_associative(rng, count):
+    fails = lambda t: (t[0] * t[1]) * t[2] != t[0] * (t[1] * t[2])
     for _ in range(count):
-        u, v, w = (random_word(rng, 3) for _ in range(3))
-        if (u * v) * w != u * (v * w):
-            return _word_failure((u, v, w), lambda t: (t[0] * t[1]) * t[2] != t[0] * (t[1] * t[2]))
-        e = Word.identity(3)
+        sample = tuple(random_word(rng, 3) for _ in range(3))
+        if fails(sample):
+            return _word_failure(sample, fails)
+        u, e = sample[0], Word.identity(3)
         if e * u != u or u * e != u:
             return {"counterexample": {"word": str(u)}}
     return None
 
 
 def _check_inverse_cancels(rng, count):
+    fails = lambda t: not (t[0] * t[0].inverse()).is_identity()
     for _ in range(count):
-        w = random_word(rng, 3)
-        if not (w * w.inverse()).is_identity():
-            return _word_failure((w,), lambda t: not (t[0] * t[0].inverse()).is_identity())
+        sample = (random_word(rng, 3),)
+        if fails(sample):
+            return _word_failure(sample, fails)
     return None
 
 
 def _check_conjugation_invariance(rng, count):
+    fails = lambda t: conjugacy_canonical(t[0] * t[1] * t[0].inverse()) != conjugacy_canonical(t[1])
     for _ in range(count):
-        g, w = random_word(rng, 3), random_word(rng, 3)
-        if conjugacy_canonical(g * w * g.inverse()) != conjugacy_canonical(w):
-            fails = lambda t: conjugacy_canonical(t[0] * t[1] * t[0].inverse()) != conjugacy_canonical(t[1])
-            return _word_failure((g, w), fails)
+        sample = (random_word(rng, 3), random_word(rng, 3))
+        if fails(sample):
+            return _word_failure(sample, fails)
     return None
 
 
@@ -207,26 +187,20 @@ def _check_cyclic_core_minimal(rng, count):
 # abelian
 
 def _check_abelianize_conjugation_invariant(rng, count):
+    fails = lambda t: abelianize([(1, t[0] * t[1] * t[0].inverse())], 3) != abelianize([(1, t[1])], 3)
     for _ in range(count):
-        g, w = random_word(rng, 3), random_word(rng, 3)
-        if abelianize([(1, g * w * g.inverse())], 3) != abelianize([(1, w)], 3):
-            return _word_failure(
-                (g, w),
-                lambda t: abelianize([(1, t[0] * t[1] * t[0].inverse())], 3)
-                != abelianize([(1, t[1])], 3),
-            )
+        sample = (random_word(rng, 3), random_word(rng, 3))
+        if fails(sample):
+            return _word_failure(sample, fails)
     return None
 
 
 def _check_exponent_vector_homomorphism(rng, count):
+    fails = lambda t: exponent_vector(t[0] * t[1]) != exponent_vector(t[0]) * exponent_vector(t[1])
     for _ in range(count):
-        u, v = random_word(rng, 3), random_word(rng, 3)
-        if exponent_vector(u * v) != exponent_vector(u) * exponent_vector(v):
-            return _word_failure(
-                (u, v),
-                lambda t: exponent_vector(t[0] * t[1])
-                != exponent_vector(t[0]) * exponent_vector(t[1]),
-            )
+        sample = (random_word(rng, 3), random_word(rng, 3))
+        if fails(sample):
+            return _word_failure(sample, fails)
     return None
 
 
@@ -292,16 +266,12 @@ def _check_center_criterion(rng, count):
 def _check_intersection_splitting(rng, count):
     for i in range(count):
         sig = _SIGS[i % len(_SIGS)]
-        u1, u2, v1, v2 = (random_word(rng, sig.n) for _ in range(4))
-        whole = intersection_pairing(sig, u1 * u2, v1 * v2)
-        split = sum(
-            intersection_pairing(sig, a, b) for a in (u1, u2) for b in (v1, v2)
+        sample = tuple(random_word(rng, sig.n) for _ in range(4))
+        fails = lambda t: intersection_pairing(sig, t[0] * t[1], t[2] * t[3]) != sum(
+            intersection_pairing(sig, a, b) for a in t[:2] for b in t[2:]
         )
-        if whole != split:
-            fails = lambda t: intersection_pairing(sig, t[0] * t[1], t[2] * t[3]) != sum(
-                intersection_pairing(sig, a, b) for a in (t[0], t[1]) for b in (t[2], t[3])
-            )
-            return _word_failure((u1, u2, v1, v2), fails, sig=sig.describe())
+        if fails(sample):
+            return _word_failure(sample, fails, sig=sig.describe())
     return None
 
 
@@ -312,11 +282,10 @@ def _check_bracket_antisymmetry(rng, count):
     for i in range(count):
         sig = _SIGS[i % len(_SIGS)]
         ring = "Z" if i % 2 == 0 else "Q"
-        u = random_element(rng, sig.n, ring)
-        v = random_element(rng, sig.n, ring)
-        if not (bracket(sig, u, v) + bracket(sig, v, u)).is_zero():
-            fails = lambda t: not (bracket(sig, t[0], t[1]) + bracket(sig, t[1], t[0])).is_zero()
-            return _element_failure((u, v), fails, sig=sig.describe())
+        sample = (random_element(rng, sig.n, ring), random_element(rng, sig.n, ring))
+        fails = lambda t: not (bracket(sig, t[0], t[1]) + bracket(sig, t[1], t[0])).is_zero()
+        if fails(sample):
+            return _element_failure(sample, fails, sig=sig.describe())
     return None
 
 
@@ -324,39 +293,28 @@ def _check_bracket_jacobi(rng, count):
     for i in range(count):
         sig = _SIGS[i % len(_SIGS)]
         ring = "Z" if i % 2 == 0 else "Q"
-        u, v, w = (random_element(rng, sig.n, ring) for _ in range(3))
-        total = (
-            bracket(sig, u, bracket(sig, v, w))
-            + bracket(sig, v, bracket(sig, w, u))
-            + bracket(sig, w, bracket(sig, u, v))
-        )
-        if not total.is_zero():
-            fails = lambda t: not (
-                bracket(sig, t[0], bracket(sig, t[1], t[2]))
-                + bracket(sig, t[1], bracket(sig, t[2], t[0]))
-                + bracket(sig, t[2], bracket(sig, t[0], t[1]))
-            ).is_zero()
-            return _element_failure((u, v, w), fails, sig=sig.describe())
+        sample = tuple(random_element(rng, sig.n, ring) for _ in range(3))
+        fails = lambda t: not (
+            bracket(sig, t[0], bracket(sig, t[1], t[2]))
+            + bracket(sig, t[1], bracket(sig, t[2], t[0]))
+            + bracket(sig, t[2], bracket(sig, t[0], t[1]))
+        ).is_zero()
+        if fails(sample):
+            return _element_failure(sample, fails, sig=sig.describe())
     return None
 
 
 def _check_bracket_matches_intersection(rng, count):
     for i in range(count):
         sig = _SIGS[i % len(_SIGS)]
-        u, v = random_word(rng, sig.n), random_word(rng, sig.n)
-        xm, ym = exponent_vector(u, sig.n), exponent_vector(v, sig.n)
-        coef = bracket_monomials(sig, xm, ym).coefficient(xm * ym)
-        if coef != intersection_pairing(sig, u, v):
-            return _word_failure(
-                (u, v),
-                lambda t: bracket_monomials(
-                    sig, exponent_vector(t[0], sig.n), exponent_vector(t[1], sig.n)
-                ).coefficient(
-                    exponent_vector(t[0], sig.n) * exponent_vector(t[1], sig.n)
-                )
-                != intersection_pairing(sig, t[0], t[1]),
-                sig=sig.describe(),
-            )
+        sample = (random_word(rng, sig.n), random_word(rng, sig.n))
+
+        def fails(t):
+            xm, ym = exponent_vector(t[0], sig.n), exponent_vector(t[1], sig.n)
+            return bracket_monomials(sig, xm, ym).coefficient(xm * ym) != intersection_pairing(sig, *t)
+
+        if fails(sample):
+            return _word_failure(sample, fails, sig=sig.describe())
     return None
 
 
@@ -481,13 +439,10 @@ _RAT_SIGS = (BOUNDARY_12, BOUNDARY_13)
 def _check_decomposition_lossless(rng, count):
     for i in range(count):
         sig = _RAT_SIGS[i % 2]
-        u = random_element(rng, sig.n, "Q", max_terms=5, radius=4)
-        if rat_ideals.decompose_by_center(sig, u).reassemble() != u:
-            return _element_failure(
-                (u,),
-                lambda t: rat_ideals.decompose_by_center(sig, t[0]).reassemble() != t[0],
-                sig=sig.describe(),
-            )
+        sample = (random_element(rng, sig.n, "Q", max_terms=5, radius=4),)
+        fails = lambda t: rat_ideals.decompose_by_center(sig, t[0]).reassemble() != t[0]
+        if fails(sample):
+            return _element_failure(sample, fails, sig=sig.describe())
     return None
 
 
@@ -592,16 +547,11 @@ def _random_chain_word(rng, max_runs=5) -> Word:
 def _check_projection_homomorphism(rng, count):
     for i in range(count):
         level = i % 7
-        u, v = _random_chain_word(rng), _random_chain_word(rng)
-        lhs = chain.project_word(u * v, level, _CHAIN_C)
-        rhs = chain.project_word(u, level, _CHAIN_C) * chain.project_word(v, level, _CHAIN_C)
-        if lhs != rhs:
-            return _word_failure(
-                (u, v),
-                lambda t: chain.project_word(t[0] * t[1], level, _CHAIN_C)
-                != chain.project_word(t[0], level, _CHAIN_C) * chain.project_word(t[1], level, _CHAIN_C),
-                level=level,
-            )
+        sample = (_random_chain_word(rng), _random_chain_word(rng))
+        project = lambda w: chain.project_word(w, level, _CHAIN_C)
+        fails = lambda t: project(t[0] * t[1]) != project(t[0]) * project(t[1])
+        if fails(sample):
+            return _word_failure(sample, fails, level=level)
     return None
 
 

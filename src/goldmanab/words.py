@@ -73,7 +73,7 @@ def _checked_letters(raw: Iterable[tuple[int, int]], n: int) -> tuple[Letter, ..
     for let in letters:
         if not 1 <= let.gen <= n:
             raise ValueError(f"generator index {let.gen} out of range 1..{n}")
-        _check_exponent(let.exp)
+        _check_integer(let.exp)
         if let.exp == 0:
             raise ValueError("zero-exponent letter")
         if let.gen == prev_gen:
@@ -171,9 +171,9 @@ def _check_alphabet(n: int) -> None:
         raise ValueError("alphabet size must be nonnegative")
 
 
-def _check_exponent(exp: int) -> None:
-    if not isinstance(exp, int):
-        raise TypeError(f"exponent {exp!r} is not an exact integer")
+def _check_integer(value: int, what: str = "exponent") -> None:
+    if not isinstance(value, int):
+        raise TypeError(f"{what} {value!r} is not an exact integer")
 
 
 def _least_rotation(seq: Sequence) -> Sequence:
@@ -234,7 +234,7 @@ def reduce_word(raw: Iterable[tuple[int, int]], n: int) -> Word:
     for gen, exp in raw:
         if not 1 <= gen <= n:
             raise ValueError(f"generator index {gen} out of range 1..{n}")
-        _check_exponent(exp)
+        _check_integer(exp)
         _push(stack, gen, exp)
     return Word._make(n, tuple(stack))
 

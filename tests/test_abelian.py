@@ -185,3 +185,17 @@ class TestJson:
         obj = {"ring": "Q", "terms": [{"exp": [1.7, 0], "coef": "1"}]}
         with pytest.raises(TypeError, match="exact integer"):
             ModuleElement.from_json_obj(obj)
+
+    @pytest.mark.parametrize("ring, coef", [("Z", 1.7), ("Z", 2.0), ("Q", 0.1), ("Q", 0.5)])
+    def test_float_coefficient_rejected(self, ring, coef):
+        obj = {"ring": ring, "terms": [{"exp": [1, 0], "coef": coef}]}
+        with pytest.raises(TypeError, match="string or an integer"):
+            ModuleElement.from_json_obj(obj)
+
+    def test_string_and_int_coefficients_are_exact(self):
+        obj = {"ring": "Q", "terms": [{"exp": [1, 0], "coef": "0.1"}, {"exp": [0, 1], "coef": 3}]}
+        u = ModuleElement.from_json_obj(obj)
+        assert u.coefficient(Monomial((1, 0))) == Fraction(1, 10)
+        assert u.coefficient(Monomial((0, 1))) == 3
+        z = ModuleElement.from_json_obj({"ring": "Z", "terms": [{"exp": [1], "coef": 7}]})
+        assert z == ModuleElement("Z", [(Monomial((1,)), 7)])

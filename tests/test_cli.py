@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from goldmanab import cli
 from goldmanab.cli import main
 from goldmanab.selftest import run_selftest
 
@@ -245,6 +246,113 @@ class TestErrorHandling:
         assert proc.returncode == 2
 
 
+def assert_input_error(capsys, *argv):
+    """Exit 2, nothing on stdout, one error line and no traceback on stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+IK_CHECK = ("ideal-check", "--closed", "1", "--rule", "ik", "--K", "[(1,0)]", "--seed", "1")
+MEMBER = ("ideal-member", "--boundary", "1", "2")
+ELEM = json.dumps({"ring": "Q", "terms": [{"exp": [1, 0, 0], "coef": "1"}]})
+
+
+def ideal_json(labels=(), central_basis=()):
+    return json.dumps({"labels": list(labels), "central_basis": list(central_basis)})
+
+
+class TestInputErrorBoundary:
+    @pytest.mark.parametrize("table", ["[]", "5", '"x"', "null"])
+    def test_table_that_is_not_an_object(self, capsys, table):
+        err = assert_input_error(
+            capsys, "ideal-check", "--closed", "1", "--rule", "table", "--table", table, "--seed", "1"
+        )
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"radius": 1.9, "values": [[[1, 0], 2]]},
+            {"radius": 1, "values": [[[1, 0], 2.5]]},
+            {"radius": 1, "default": 1.5},
+        ],
+    )
+    def test_float_numbers_in_table(self, capsys, table):
+        err = assert_input_error(
+            capsys, "ideal-check", "--closed", "1", "--rule", "table",
+            "--table", json.dumps(table), "--box", "1", "--seed", "1", "--exhaustive",
+        )
+        assert "exact integer" in err
+
+    def test_table_without_radius(self, capsys):
+        err = assert_input_error(
+            capsys, "ideal-check", "--closed", "1", "--rule", "table", "--table", "{}", "--seed", "1"
+        )
+        assert "missing key 'radius'" in err
+
+    @pytest.mark.parametrize("ring, coef", [("Q", 0.1), ("Z", 1.7)])
+    def test_float_coefficient_in_element(self, capsys, ring, coef):
+        elem = json.dumps({"ring": ring, "terms": [{"exp": [0, 0, 1], "coef": coef}]})
+        err = assert_input_error(capsys, *MEMBER, "--ideal", ideal_json(), "--elem", elem)
+        assert "string or an integer" in err
+
+    def test_float_coefficient_in_generator(self, capsys):
+        gen = json.dumps({"ring": "Q", "terms": [{"exp": [1, 0, 0], "coef": 0.1}]})
+        assert_input_error(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", gen)
+
+    def test_float_label_weight(self, capsys):
+        label = [{"c": [0, 0, 0], "q": "1"}, {"c": [0, 0, 1], "q": 0.5}]
+        assert_input_error(capsys, *MEMBER, "--ideal", ideal_json([label]), "--elem", ELEM)
+
+    @pytest.mark.parametrize("elem", [ELEM, json.dumps({"ring": "Q", "terms": []})])
+    def test_label_of_wrong_length(self, capsys, elem):
+        ideal = ideal_json([[{"c": [0, 0], "q": "1"}]])
+        err = assert_input_error(capsys, *MEMBER, "--ideal", ideal, "--elem", elem)
+        assert "length" in err
+
+    def test_non_central_label(self, capsys):
+        ideal = ideal_json([[{"c": [0, 0, 0], "q": "1"}, {"c": [1, 0, 0], "q": "2"}]])
+        err = assert_input_error(capsys, *MEMBER, "--ideal", ideal, "--elem", ELEM)
+        assert "central" in err
+
+    def test_central_row_of_wrong_length(self, capsys):
+        row = {"ring": "Q", "terms": [{"exp": [0, 1], "coef": "1"}]}
+        elem = json.dumps({"ring": "Q", "terms": [{"exp": [0, 0, 1], "coef": "1"}]})
+        err = assert_input_error(capsys, *MEMBER, "--ideal", ideal_json((), [row]), "--elem", elem)
+        assert "length" in err
+
+    def test_negative_samples(self, capsys):
+        err = assert_input_error(capsys, *IK_CHECK, "--samples", "-5")
+        assert "samples" in err
+
+    @pytest.mark.parametrize("exhaustive", [(), ("--exhaustive",)])
+    def test_negative_box(self, capsys, exhaustive):
+        err = assert_input_error(capsys, *IK_CHECK, "--box", "-1", *exhaustive)
+        assert "radius" in err
+
+    def test_ideal_json_that_is_not_an_object(self, capsys):
+        assert_input_error(capsys, *MEMBER, "--ideal", "[]", "--elem", ELEM)
+
+    def test_missing_key_is_named(self, capsys):
+        err = assert_input_error(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", "{}")
+        assert "missing key 'ring'" in err
+
+    def test_integer_generator_refused(self, capsys):
+        gen = json.dumps({"ring": "Z", "terms": [{"exp": [1, 0, 0], "coef": "1"}]})
+        err = assert_input_error(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", gen)
+        assert "rational" in err
+
+    def test_program_fault_keeps_its_traceback(self, monkeypatch):
+        def broken(args):
+            raise AttributeError("a fault of the program, not of the input")
+
+        monkeypatch.setattr(cli, "_cmd_center", broken)
+        with pytest.raises(AttributeError):
+            main(["center", "--closed", "1"])
+
+
 class TestSelftestCommand:
     def test_scale_zero_is_noop_pass(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "1", "--scale", "0")
@@ -305,3 +413,20 @@ class TestInjectedFault:
         for suite in report["suites"]:
             for failure in suite["failures"]:
                 assert "counterexample" in failure
+        # The shrunken counterexamples of both shrink paths, elements and
+        # words, are pinned: the shrinker must keep its greedy order.
+        found = {
+            f["property"]: f["counterexample"]
+            for s in report["suites"] if s["suite"] == "bracket"
+            for f in s["failures"]
+        }
+        assert found["antisymmetry"] == {
+            "element_0": {"ring": "Z", "terms": [{"exp": [2, 1, 1, -3], "coef": "-1"}]},
+            "element_1": {"ring": "Z", "terms": [{"exp": [3, -5, -3, -5], "coef": "1"}]},
+            "sig": "closed genus 2",
+        }
+        assert found["matches_intersection_number"] == {
+            "word_0": "a1^-1",
+            "word_1": "a2",
+            "sig": "genus 1 with 2 boundary components",
+        }

@@ -96,6 +96,18 @@ class TestTableRule:
         with pytest.raises(TypeError, match="exact integer"):
             TableSubmodule(2, 1, {(0.5, 0): 2})
 
+    def test_fractional_radius_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            TableSubmodule(2, 1.9)
+
+    def test_fractional_value_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            TableSubmodule(2, 1, {(1, 0): 2.5})
+
+    def test_fractional_default_rejected(self):
+        with pytest.raises(TypeError, match="exact integer"):
+            TableSubmodule(2, 1, default=1.5)
+
 
 class TestBracketClosureCheck:
     def test_gcd_rule_always_passes(self):
@@ -129,6 +141,21 @@ class TestBracketClosureCheck:
     def test_skips_products_outside_table_box(self):
         report = bracket_closure_check(TORUS, TableSubmodule(2, 1), 1, samples=None)
         assert report.skipped > 0
+
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_negative_samples_rejected(self, check):
+        with pytest.raises(ValueError, match="samples"):
+            check(TORUS, GcdSubmodule(2), 5, samples=-5, seed=1)
+
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    @pytest.mark.parametrize("samples", [None, 10])
+    def test_negative_radius_rejected(self, check, samples):
+        with pytest.raises(ValueError, match="radius"):
+            check(TORUS, GcdSubmodule(2), -1, samples=samples, seed=1)
+
+    def test_zero_samples_check_nothing(self):
+        report = bracket_closure_check(TORUS, GcdSubmodule(2), 5, samples=0, seed=1)
+        assert report.ok and report.checked == report.skipped == 0
 
 
 class TestGcdDivisibilityCheck:

@@ -61,6 +61,10 @@ class TestPrimitiveLabel:
         with pytest.raises(ValueError, match="nonzero"):
             PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, [(Monomial((0, 0, 1)), q(0))])
 
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            PrimitiveLabel([(Monomial((0, 0, 0)), q(1)), (Monomial((0, 1)), q(2))])
+
     def test_raw_constructor_demands_canonical_form(self):
         with pytest.raises(ValueError, match="canonical"):
             PrimitiveLabel([(Monomial((0, 0, 1)), q(1))])
@@ -209,6 +213,22 @@ class TestClosure:
         assert ideal_contains(TWO_HOLED_TORUS, ideal, inside)
         assert not ideal_contains(TWO_HOLED_TORUS, ideal, single((0, 0, 1, 0), 1))
 
+    def test_label_of_wrong_length_rejected(self):
+        ideal = RationalIdeal([PrimitiveLabel([(Monomial((0, 0)), q(1))])])
+        for elem in (ModuleElement.zero("Q"), single((1, 0, 0), 1)):
+            with pytest.raises(ValueError, match="length"):
+                ideal_contains(ONE_HOLED_TORUS, ideal, elem)
+
+    def test_non_central_label_rejected(self):
+        label = PrimitiveLabel([(Monomial((0, 0, 0)), q(1)), (Monomial((1, 0, 0)), q(2))])
+        with pytest.raises(ValueError, match="central"):
+            ideal_contains(ONE_HOLED_TORUS, RationalIdeal([label]), single((0, 1, 0), 1))
+
+    def test_central_row_of_wrong_length_rejected(self):
+        ideal = RationalIdeal((), [single((0, 1), 1)])
+        with pytest.raises(ValueError, match="length"):
+            ideal_contains(ONE_HOLED_TORUS, ideal, single((0, 0, 1), 1))
+
     def test_bracket_closure_guard(self):
         rng = random.Random(13)
         for sig in (ONE_HOLED_TORUS, TWO_HOLED_TORUS):
@@ -313,3 +333,10 @@ class TestRoundTrip:
     def test_fractional_label_exponent_rejected(self):
         with pytest.raises(TypeError, match="exact integer"):
             PrimitiveLabel.from_json_obj([{"c": [0, 0, 0.5], "q": "1"}])
+
+    def test_float_label_weight_rejected(self):
+        pairs = [{"c": [0, 0, 0], "q": "1"}, {"c": [0, 0, 1], "q": 0.1}]
+        with pytest.raises(TypeError, match="string or an integer"):
+            PrimitiveLabel.from_json_obj(pairs)
+        pairs[1]["q"] = "0.1"
+        assert PrimitiveLabel.from_json_obj(pairs).pairs[1][1] == q(1, 10)
