@@ -44,7 +44,9 @@ class Monomial(tuple):
         """The generator monomial a_gen (1-based index)."""
         if not 1 <= gen <= n:
             raise ValueError(f"generator index {gen} out of range 1..{n}")
-        return tuple.__new__(cls, (1 if j == gen - 1 else 0 for j in range(n)))
+        exps = [0] * n
+        exps[gen - 1] = 1
+        return tuple.__new__(cls, exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self) != len(other):
@@ -86,6 +88,21 @@ def _exact_from_json(value, ring: str) -> Coefficient:
     if not isinstance(value, (str, int)):
         raise TypeError(f"coefficient {value!r} must be a string or an integer")
     return int(value) if ring == "Z" else Fraction(value)
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_shape(value, kind: type, what: str):
+    """``value`` when it has the JSON shape ``kind`` (dict or list).
+
+    Otherwise a TypeError that says what was expected where.
+    """
+    if not isinstance(value, kind):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise TypeError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, got {got}")
+    return value
 
 
 def _merge_terms(*term_lists: Iterable[tuple[Monomial, Coefficient]]) -> dict:
@@ -200,12 +217,13 @@ class ModuleElement(_Value):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModuleElement":
-        ring = obj["ring"]
+        ring = _json_shape(obj, dict, "a module element")["ring"]
         if ring not in RINGS:
             raise ValueError(f"unknown ring {ring!r}")
         terms = []
-        for item in obj["terms"]:
-            mono = Monomial(item["exp"])
+        for item in _json_shape(obj["terms"], list, "'terms' of a module element"):
+            item = _json_shape(item, dict, "a term of a module element")
+            mono = Monomial(_json_shape(item["exp"], list, "'exp' of a term"))
             terms.append((mono, _exact_from_json(item["coef"], ring)))
         return cls(ring, terms)
 

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import chain, int_ideals, rat_ideals, selftest
-from .abelian import ModuleElement, abelianize, exponent_vector
+from .abelian import ModuleElement, _json_shape, abelianize, exponent_vector
 from .bracket import bracket
 from .symplectic import SurfaceSignature, center_generators, symplectic_product
 from .words import Word, are_conjugate, parse_word
@@ -53,11 +53,16 @@ def _parse_tuple_set(text: str) -> list[tuple[int, ...]]:
         raise ValueError(f"cannot parse tuple set {text!r}") from exc
 
 
-def _parse_json(text: str, what: str):
+def _parse_json(text: str, what: str, read):
+    """``read`` applied to the JSON of option ``what``; shape errors name it."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON for {what}: {exc}") from exc
+    try:
+        return read(obj)
+    except TypeError as exc:
+        raise TypeError(f"{what}: {exc}") from exc
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -117,11 +122,18 @@ def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodu
         return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
     if args.table is None:
         raise ValueError("--rule table requires --table")
-    obj = _parse_json(args.table, "--table")
-    if not isinstance(obj, dict):
-        raise ValueError("--table must be a JSON object")
-    values = {tuple(key): a for key, a in obj.get("values", [])}
-    return int_ideals.TableSubmodule(sig.n, obj["radius"], values, default=obj.get("default", 1))
+    return _parse_json(args.table, "--table", lambda obj: _table_submodule(sig.n, obj))
+
+
+def _table_submodule(n: int, obj) -> int_ideals.TableSubmodule:
+    obj = _json_shape(obj, dict, "the table")
+    values = {}
+    for entry in _json_shape(obj.get("values", []), list, "'values' of the table"):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise TypeError("each entry of 'values' must be a JSON list [exponents, value]")
+        key, a = entry
+        values[tuple(_json_shape(key, list, "the exponents of a table entry"))] = a
+    return int_ideals.TableSubmodule(n, obj["radius"], values, default=obj.get("default", 1))
 
 
 def _cmd_ideal_check(args) -> tuple[dict, int]:
@@ -151,14 +163,14 @@ def _cmd_ik_family(args) -> tuple[dict, int]:
 
 def _cmd_ideal_closure(args) -> tuple[dict, int]:
     sig = _surface(args)
-    generators = [ModuleElement.from_json_obj(_parse_json(text, "--gen")) for text in args.gen or []]
+    generators = [_parse_json(text, "--gen", ModuleElement.from_json_obj) for text in args.gen or []]
     return rat_ideals.ideal_closure(sig, generators).to_json_obj(), 0
 
 
 def _cmd_ideal_member(args) -> tuple[dict, int]:
     sig = _surface(args)
-    ideal = rat_ideals.RationalIdeal.from_json_obj(_parse_json(args.ideal, "--ideal"))
-    elem = ModuleElement.from_json_obj(_parse_json(args.elem, "--elem"))
+    ideal = _parse_json(args.ideal, "--ideal", rat_ideals.RationalIdeal.from_json_obj)
+    elem = _parse_json(args.elem, "--elem", ModuleElement.from_json_obj)
     verdict = rat_ideals.ideal_contains(sig, ideal, elem)
     return {"verdict": verdict}, 0 if verdict else 1
 

@@ -16,11 +16,15 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .abelian import ModuleElement, Monomial
-from .symplectic import SurfaceSignature, symplectic_product
+from .symplectic import SurfaceSignature, _form
 from .words import _check_integer
+
+MAX_EXHAUSTIVE_PAIRS = 10_000_000
+"""The most pairs an exhaustive criterion check may visit, (2r+1)^(2n)."""
 
 
 def _exponent_tuple(t: Iterable[int]) -> tuple[int, ...]:
@@ -38,11 +42,14 @@ class GeometricSubmodule:
 
     n: int
 
-    def min_multiple(self, x: Monomial) -> int:
-        """Least positive m with m*x in the submodule, or 0 if none exists."""
+    def min_multiple(self, x: tuple[int, ...]) -> int:
+        """Least positive m with m*x in the submodule, or 0 if none exists.
+
+        ``x`` is an exponent tuple: a Monomial or a plain tuple of ints.
+        """
         raise NotImplementedError
 
-    def in_domain(self, x: Monomial) -> bool:
+    def in_domain(self, x: tuple[int, ...]) -> bool:
         raise NotImplementedError
 
     def contains(self, u: ModuleElement) -> bool:
@@ -66,6 +73,9 @@ class GcdSubmodule(GeometricSubmodule):
     __slots__ = ("n", "exceptions")
 
     def __init__(self, n: int, exceptions: Iterable[tuple[int, ...]] = ()):
+        _check_integer(n, "tuple length")
+        if n < 1:
+            raise ValueError(f"tuple length must be >= 1, got {n}")
         exceptions = frozenset(map(_exponent_tuple, exceptions))
         for t in exceptions:
             if len(t) != n:
@@ -73,14 +83,14 @@ class GcdSubmodule(GeometricSubmodule):
         self.n = n
         self.exceptions = exceptions
 
-    def min_multiple(self, x: Monomial) -> int:
+    def min_multiple(self, x: tuple[int, ...]) -> int:
         if len(x) != self.n:
             raise ValueError(f"monomial length {len(x)} != {self.n}")
         if x in self.exceptions:
             return 1
-        return math.gcd(*x) if x else 0
+        return math.gcd(*x)
 
-    def in_domain(self, x: Monomial) -> bool:
+    def in_domain(self, x: tuple[int, ...]) -> bool:
         return len(x) == self.n
 
     def __eq__(self, other) -> bool:
@@ -134,13 +144,15 @@ class TableSubmodule(GeometricSubmodule):
             table[t] = a
         self.values = table
 
-    def min_multiple(self, x: Monomial) -> int:
-        if not self.in_domain(x):
+    def min_multiple(self, x: tuple[int, ...]) -> int:
+        # The table holds exactly the tuples of the box.
+        a = self.values.get(x)
+        if a is None:
             raise ValueError(f"monomial {tuple(x)} outside the table box (radius {self.radius})")
-        return self.values[x]
+        return a
 
-    def in_domain(self, x: Monomial) -> bool:
-        return len(x) == self.n and max(map(abs, x), default=0) <= self.radius
+    def in_domain(self, x: tuple[int, ...]) -> bool:
+        return x in self.values
 
     def __repr__(self) -> str:
         return f"TableSubmodule(n={self.n}, radius={self.radius})"
@@ -159,29 +171,32 @@ class CheckReport:
         return self.ok
 
 
-def _box_monomials(n: int, radius: int) -> Iterator[Monomial]:
-    for t in itertools.product(range(-radius, radius + 1), repeat=n):
-        yield Monomial(t)
-
-
 def _pair_stream(
     n: int, radius: int, samples: Optional[int], seed: Optional[int]
-) -> Iterator[tuple[Monomial, Monomial]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Plain int tuples of length n by construction: the checks need not
+    # validate them again.
     if radius < 0:
         raise ValueError(f"box radius must be nonnegative, got {radius}")
     if samples is None:
-        for v in _box_monomials(n, radius):
-            for w in _box_monomials(n, radius):
-                yield v, w
+        pairs = (2 * radius + 1) ** (2 * n)
+        if pairs > MAX_EXHAUSTIVE_PAIRS:
+            raise ValueError(
+                f"an exhaustive sweep of radius {radius} on n = {n} visits {pairs} pairs, "
+                f"more than the cap of {MAX_EXHAUSTIVE_PAIRS}; sample instead"
+            )
+        box = list(itertools.product(range(-radius, radius + 1), repeat=n))
+        yield from itertools.product(box, repeat=2)
         return
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if seed is None:
         raise ValueError("sampled checks require an explicit seed")
-    rng = random.Random(seed)
+    # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer.
+    draw, stop = random.Random(seed).randrange, radius + 1
     for _ in range(samples):
-        v = Monomial(tuple(rng.randint(-radius, radius) for _ in range(n)))
-        w = Monomial(tuple(rng.randint(-radius, radius) for _ in range(n)))
+        v = tuple([draw(-radius, stop) for _ in range(n)])
+        w = tuple([draw(-radius, stop) for _ in range(n)])
         yield v, w
 
 
@@ -197,18 +212,20 @@ def bracket_closure_check(
     Pairs (v, w) are drawn from the box [-radius, radius]^n (exhaustively
     when ``samples`` is None); pairs whose product leaves the rule's domain
     are skipped and counted.  The first violation is reported.  A negative
-    ``radius`` or ``samples`` raises ValueError.
+    ``radius`` or ``samples``, or an exhaustive sweep of more than
+    MAX_EXHAUSTIVE_PAIRS pairs, raises ValueError.
     """
+    in_domain, rule, genus = sub.in_domain, sub.min_multiple, sig.genus
     checked = skipped = 0
     for v, w in _pair_stream(sig.n, radius, samples, seed):
-        product = v * w
-        if not (sub.in_domain(v) and sub.in_domain(w) and sub.in_domain(product)):
+        product = tuple(map(add, v, w))
+        if not (in_domain(v) and in_domain(w) and in_domain(product)):
             skipped += 1
             continue
         checked += 1
-        pairing = symplectic_product(sig, v, w)
-        a_v = sub.min_multiple(v)
-        a_vw = sub.min_multiple(product)
+        pairing = _form(genus, v, w)
+        a_v = rule(v)
+        a_vw = rule(product)
         if not divides(a_vw, pairing * a_v):
             return CheckReport(
                 False,
@@ -225,10 +242,10 @@ def bracket_closure_check(
     return CheckReport(True, None, checked, skipped)
 
 
-def _paired_gcd(sig: SurfaceSignature, k: Monomial, i: Monomial) -> int:
+def _paired_gcd(genus: int, k: tuple[int, ...], i: tuple[int, ...]) -> int:
     # gcd over the symplectic pairs of gcd(k-pair) * gcd(i-pair); 0 when g = 0.
     factors = []
-    for t in range(sig.genus):
+    for t in range(genus):
         gk = math.gcd(k[2 * t], k[2 * t + 1])
         gi = math.gcd(i[2 * t], i[2 * t + 1])
         factors.append(gk * gi)
@@ -244,18 +261,20 @@ def gcd_divisibility_check(
 ) -> CheckReport:
     """Check rule(k) | rule(i) * gcd_t(gcd(k-pair_t) * gcd(i-pair_t)).
 
-    The same sampling conventions as :func:`bracket_closure_check`; no
-    product point is needed, so only pairs outside the domain are skipped.
+    The same sampling conventions and limits as
+    :func:`bracket_closure_check`; no product point is needed, so only
+    pairs outside the domain are skipped.
     """
+    in_domain, rule, genus = sub.in_domain, sub.min_multiple, sig.genus
     checked = skipped = 0
     for k, i in _pair_stream(sig.n, radius, samples, seed):
-        if not (sub.in_domain(k) and sub.in_domain(i)):
+        if not (in_domain(k) and in_domain(i)):
             skipped += 1
             continue
         checked += 1
-        a_k = sub.min_multiple(k)
-        a_i = sub.min_multiple(i)
-        factor = _paired_gcd(sig, k, i)
+        a_k = rule(k)
+        a_i = rule(i)
+        factor = _paired_gcd(genus, k, i)
         if not divides(a_k, a_i * factor):
             return CheckReport(
                 False,

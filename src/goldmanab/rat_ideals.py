@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import ModuleElement, Monomial, _exact_from_json, _merge_terms
+from .abelian import ModuleElement, Monomial, _exact_from_json, _json_shape, _merge_terms
 from .bracket import bracket
 from .symplectic import SurfaceSignature, is_central, symplectic_product
 from .words import _Value
@@ -89,7 +90,12 @@ class PrimitiveLabel(_Value):
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "PrimitiveLabel":
-        return cls((Monomial(p["c"]), _exact_from_json(p["q"], "Q")) for p in obj)
+        pairs = []
+        for p in _json_shape(obj, list, "a label"):
+            p = _json_shape(p, dict, "a pair of a label")
+            mono = Monomial(_json_shape(p["c"], list, "'c' of a label pair"))
+            pairs.append((mono, _exact_from_json(p["q"], "Q")))
+        return cls(pairs)
 
 
 class Part(NamedTuple):
@@ -137,13 +143,20 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
             central_terms.append((mono, coef))
         else:
             classes.setdefault(key, []).append((mono, coef))
+    # Every label starts with its base translated to the identity, weight 1.
+    head = (Monomial.identity(sig.n), Fraction(1))
+    trivial = PrimitiveLabel._make((head,))
+    new = tuple.__new__
     parts = []
     for key in sorted(classes):
         members = classes[key]  # already sorted lexicographically
         base, base_coef = members[0]
-        shift = base.inverse()
-        # Translation keeps the order, so the label is canonical as built.
-        label = PrimitiveLabel._make(tuple((m * shift, q / base_coef) for m, q in members))
+        if len(members) == 1:
+            label = trivial
+        else:
+            # Translation keeps the order, so the label is canonical as built.
+            rest = ((new(Monomial, map(sub, m, base)), q / base_coef) for m, q in members[1:])
+            label = PrimitiveLabel._make((head, *rest))
         parts.append(Part(label, base, base_coef))
     return CentralDecomposition(tuple(parts), ModuleElement._make("Q", dict(central_terms)))
 
@@ -233,9 +246,12 @@ class RationalIdeal(_Value):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RationalIdeal":
+        obj = _json_shape(obj, dict, "an ideal")
         return cls(
-            (PrimitiveLabel.from_json_obj(lab) for lab in obj["labels"]),
-            (ModuleElement.from_json_obj(u) for u in obj["central_basis"]),
+            (PrimitiveLabel.from_json_obj(lab)
+             for lab in _json_shape(obj["labels"], list, "'labels' of an ideal")),
+            (ModuleElement.from_json_obj(u)
+             for u in _json_shape(obj["central_basis"], list, "'central_basis' of an ideal")),
         )
 
 
@@ -275,8 +291,9 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
     dec = decompose_by_center(sig, u)
     if any(part.label not in ideal.labels for part in dec.parts):
         return False
-    basis = [(min(_as_vector(row)), _as_vector(row)) for row in ideal.central_basis]
-    return not _reduce_vector(_as_vector(dec.central), basis)
+    # The stored rows are reduced, each with its lex-least monomial as pivot.
+    basis = [(min(row._terms), row._terms) for row in ideal.central_basis]
+    return not _reduce_vector(dec.central._terms, basis)
 
 
 def verify_bracket_closure(

@@ -104,9 +104,12 @@ def symplectic_product(sig: SurfaceSignature, x: Monomial, y: Monomial) -> int:
     """
     _require_length(sig, x)
     _require_length(sig, y)
-    return sum(
-        x[2 * t] * y[2 * t + 1] - x[2 * t + 1] * y[2 * t] for t in range(sig.genus)
-    )
+    return _form(sig.genus, x, y)
+
+
+def _form(genus: int, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """symplectic_product for callers that already know both lengths are n."""
+    return sum(x[2 * t] * y[2 * t + 1] - x[2 * t + 1] * y[2 * t] for t in range(genus))
 
 
 def pairing_vector(sig: SurfaceSignature, x: Monomial) -> tuple[int, ...]:

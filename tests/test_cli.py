@@ -430,3 +430,69 @@ class TestInjectedFault:
             "word_1": "a2",
             "sig": "genus 1 with 2 boundary components",
         }
+
+
+TABLE_CHECK = ("ideal-check", "--closed", "1", "--rule", "table", "--seed", "1", "--table")
+
+
+class TestJsonShapeErrors:
+    """JSON of the wrong shape exits 2 with a message naming the option and the shape."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("ideal-closure", "--closed", "1", "--gen", "[]"),
+             "--gen: a module element must be a JSON object, got a list"),
+            (("ideal-closure", "--closed", "1", "--gen", '{"ring": "Q", "terms": 5}'),
+             "--gen: 'terms' of a module element must be a JSON list, got a number"),
+            (("ideal-closure", "--closed", "1", "--gen", '{"ring": "Q", "terms": [[1, 2]]}'),
+             "--gen: a term of a module element must be a JSON object, got a list"),
+            (("ideal-closure", "--closed", "1", "--gen",
+              '{"ring": "Q", "terms": [{"exp": 3, "coef": "1"}]}'),
+             "--gen: 'exp' of a term must be a JSON list, got a number"),
+            ((*MEMBER, "--ideal", '{"labels": {}, "central_basis": 3}', "--elem", ELEM),
+             "--ideal: 'labels' of an ideal must be a JSON list, got an object"),
+            ((*MEMBER, "--ideal", '{"labels": [], "central_basis": 3}', "--elem", ELEM),
+             "--ideal: 'central_basis' of an ideal must be a JSON list, got a number"),
+            ((*MEMBER, "--ideal", '{"labels": [{"c": [0, 0, 0]}], "central_basis": []}',
+              "--elem", ELEM),
+             "--ideal: a label must be a JSON list, got an object"),
+            ((*MEMBER, "--ideal", '{"labels": [[5]], "central_basis": []}', "--elem", ELEM),
+             "--ideal: a pair of a label must be a JSON object, got a number"),
+            ((*MEMBER, "--ideal", '{"labels": [[{"c": 0, "q": "1"}]], "central_basis": []}',
+              "--elem", ELEM),
+             "--ideal: 'c' of a label pair must be a JSON list, got a number"),
+            ((*MEMBER, "--ideal", ideal_json(), "--elem", '"x"'),
+             "--elem: a module element must be a JSON object, got a string"),
+            ((*TABLE_CHECK, '{"radius": 1, "values": 5}'),
+             "--table: 'values' of the table must be a JSON list, got a number"),
+            ((*TABLE_CHECK, '{"radius": 1, "values": [[1, 0]]}'),
+             "--table: the exponents of a table entry must be a JSON list, got a number"),
+            ((*TABLE_CHECK, '{"radius": 1, "values": [[[1, 0], 2, 3]]}'),
+             "--table: each entry of 'values' must be a JSON list [exponents, value]"),
+            ((*TABLE_CHECK, '{"radius": 1, "values": [7]}'),
+             "--table: each entry of 'values' must be a JSON list [exponents, value]"),
+        ],
+    )
+    def test_message_says_what_was_expected(self, capsys, argv, expected):
+        err = assert_input_error(capsys, *argv)
+        assert err == f"error: {expected}\n"
+
+
+class TestLimits:
+    @pytest.mark.parametrize("argv", [
+        ("--K0", "[]", "--n", "-1", "--count", "1"),
+        ("--K0", "[]", "--n", "0", "--count", "1"),
+        ("--K0", "[]", "--n", "0", "--count", "2"),
+        ("--K0", "[()]", "--count", "2"),
+    ])
+    def test_ik_family_needs_a_positive_tuple_length(self, capsys, argv):
+        err = assert_input_error(capsys, "ik-family", *argv)
+        assert "tuple length must be >= 1" in err
+
+    def test_exhaustive_sweep_over_the_cap(self, capsys):
+        err = assert_input_error(
+            capsys, "ideal-check", "--closed", "2", "--rule", "ik", "--K", "[]",
+            "--box", "30", "--seed", "1", "--exhaustive",
+        )
+        assert f"visits {61 ** 8} pairs" in err

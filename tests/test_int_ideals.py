@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import hypothesis.strategies as st
 from goldmanab.abelian import ModuleElement, Monomial
 from goldmanab.bracket import bracket
 from goldmanab.int_ideals import (
+    MAX_EXHAUSTIVE_PAIRS,
+    CheckReport,
     GcdSubmodule,
     TableSubmodule,
     bracket_closure_check,
@@ -15,7 +18,7 @@ from goldmanab.int_ideals import (
     gcd_divisibility_check,
     gcd_submodule_family,
 )
-from goldmanab.symplectic import SurfaceSignature
+from goldmanab.symplectic import SurfaceSignature, symplectic_product
 
 TORUS = SurfaceSignature.closed(1)
 
@@ -258,3 +261,147 @@ class TestFamily:
     def test_fractional_base_rejected(self):
         with pytest.raises(TypeError, match="exact integer"):
             gcd_submodule_family({(1.5, 0)}, 2)
+
+    @pytest.mark.parametrize("k0, n, count", [
+        ((), -1, 1), ((), 0, 1), ((), 0, 2), ({()}, None, 1), ({()}, None, 2),
+    ])
+    def test_tuple_length_below_one_rejected(self, k0, n, count):
+        with pytest.raises(ValueError, match="tuple length"):
+            gcd_submodule_family(k0, count, n=n)
+
+    def test_gcd_submodule_needs_positive_length(self):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="tuple length"):
+                GcdSubmodule(n)
+
+
+def _oracle_pairs(n, radius, samples, seed):
+    if samples is None:
+        box = [Monomial(t) for t in itertools.product(range(-radius, radius + 1), repeat=n)]
+        return [(v, w) for v in box for w in box]
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(samples):
+        v = Monomial(tuple(rng.randint(-radius, radius) for _ in range(n)))
+        w = Monomial(tuple(rng.randint(-radius, radius) for _ in range(n)))
+        pairs.append((v, w))
+    return pairs
+
+
+def _bracket_criterion_oracle(sig, sub, radius, samples=None, seed=None):
+    """bracket_closure_check as a per-pair loop over the public rule API."""
+    checked = skipped = 0
+    for v, w in _oracle_pairs(sig.n, radius, samples, seed):
+        if not (sub.in_domain(v) and sub.in_domain(w) and sub.in_domain(v * w)):
+            skipped += 1
+            continue
+        checked += 1
+        pairing = symplectic_product(sig, v, w)
+        a_v, a_vw = sub.min_multiple(v), sub.min_multiple(v * w)
+        if not divides(a_vw, pairing * a_v):
+            cx = {"v": list(v), "w": list(w), "pairing": pairing, "rule_v": a_v, "rule_vw": a_vw}
+            return CheckReport(False, cx, checked, skipped)
+    return CheckReport(True, None, checked, skipped)
+
+
+def _gcd_criterion_oracle(sig, sub, radius, samples=None, seed=None):
+    """gcd_divisibility_check as a per-pair loop over the public rule API."""
+    checked = skipped = 0
+    for k, i in _oracle_pairs(sig.n, radius, samples, seed):
+        if not (sub.in_domain(k) and sub.in_domain(i)):
+            skipped += 1
+            continue
+        checked += 1
+        factors = [
+            math.gcd(k[2 * t], k[2 * t + 1]) * math.gcd(i[2 * t], i[2 * t + 1])
+            for t in range(sig.genus)
+        ]
+        factor = math.gcd(*factors) if factors else 0
+        a_k, a_i = sub.min_multiple(k), sub.min_multiple(i)
+        if not divides(a_k, a_i * factor):
+            cx = {"k": list(k), "i": list(i), "rule_k": a_k, "rule_i": a_i, "gcd_factor": factor}
+            return CheckReport(False, cx, checked, skipped)
+    return CheckReport(True, None, checked, skipped)
+
+
+def _gcd_table(n, radius, seed):
+    """The gcd rule on the box, left alone for seeds divisible by 3, else perturbed."""
+    rng = random.Random(seed)
+    box = list(itertools.product(range(-radius, radius + 1), repeat=n))
+    values = {t: math.gcd(*t) for t in box}
+    for _ in range(0 if seed % 3 == 0 else rng.randint(1, 2)):
+        values[rng.choice(box)] = rng.choice([0, 1, 2, 3])
+    return TableSubmodule(n, radius, values)
+
+
+CRITERIA = [
+    (bracket_closure_check, _bracket_criterion_oracle),
+    (gcd_divisibility_check, _gcd_criterion_oracle),
+]
+# (surface, table radius, sweep radius): unequal radii make the sweep skip pairs.
+SWEEPS = [
+    (TORUS, 2, 2),
+    (TORUS, 1, 2),
+    (TORUS, 3, 2),
+    (SurfaceSignature.with_boundary(1, 2), 1, 1),
+    (SurfaceSignature.with_boundary(1, 2), 2, 1),
+    (SurfaceSignature.with_boundary(0, 3), 1, 2),
+    (SurfaceSignature.closed(2), 1, 1),
+]
+
+
+class TestCriteriaAgainstPairLoop:
+    @pytest.mark.parametrize("check, oracle", CRITERIA)
+    @pytest.mark.parametrize("sig, table_radius, radius", SWEEPS)
+    def test_exhaustive_tables(self, check, oracle, sig, table_radius, radius):
+        verdicts = set()
+        for seed in range(6):
+            sub = _gcd_table(sig.n, table_radius, seed)
+            report = check(sig, sub, radius, samples=None)
+            assert report == oracle(sig, sub, radius)
+            verdicts.add(report.ok)
+        if sig.genus:
+            assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("check, oracle", CRITERIA)
+    @pytest.mark.parametrize("sig, table_radius, radius", SWEEPS)
+    def test_sampled_tables(self, check, oracle, sig, table_radius, radius):
+        for seed in range(6):
+            sub = _gcd_table(sig.n, table_radius, seed)
+            report = check(sig, sub, radius + 1, samples=300, seed=seed)
+            assert report == oracle(sig, sub, radius + 1, samples=300, seed=seed)
+
+    @pytest.mark.parametrize("check, oracle", CRITERIA)
+    @pytest.mark.parametrize("sig", [TORUS, SurfaceSignature.closed(2)])
+    def test_gcd_rule(self, check, oracle, sig):
+        sub = GcdSubmodule(sig.n, {(1,) * sig.n, (0, 2) + (0,) * (sig.n - 2)})
+        assert check(sig, sub, 8, samples=400, seed=9) == oracle(sig, sub, 8, samples=400, seed=9)
+        assert check(sig, sub, 1, samples=None) == oracle(sig, sub, 1)
+        # A rule of another tuple length is outside the domain everywhere.
+        other = GcdSubmodule(sig.n + 1)
+        report = check(sig, other, 2, samples=50, seed=1)
+        assert report == oracle(sig, other, 2, samples=50, seed=1)
+        assert report.skipped == 50
+
+    def test_table_domain_is_the_box(self):
+        sub = TableSubmodule(2, 2)
+        for t in itertools.product(range(-4, 5), repeat=2):
+            assert sub.in_domain(Monomial(t)) == (max(map(abs, t)) <= 2)
+        assert not sub.in_domain(Monomial((0, 0, 0)))
+        assert not sub.in_domain(Monomial((1,)))
+
+
+class TestExhaustiveWorkCap:
+    def test_cap_names_the_pair_count(self):
+        sig = SurfaceSignature.closed(2)
+        pairs = 61 ** 8
+        for check in (bracket_closure_check, gcd_divisibility_check):
+            with pytest.raises(ValueError, match=f"{pairs} pairs"):
+                check(sig, GcdSubmodule(4), 30, samples=None)
+
+    def test_sampling_is_not_capped(self):
+        sig = SurfaceSignature.with_boundary(2, 2)
+        assert 7 ** 10 > MAX_EXHAUSTIVE_PAIRS
+        with pytest.raises(ValueError, match="cap"):
+            bracket_closure_check(sig, GcdSubmodule(5), 3, samples=None)
+        assert bracket_closure_check(sig, GcdSubmodule(5), 30, samples=10, seed=1).ok

@@ -15,6 +15,7 @@ from goldmanab.rat_ideals import (
     ideal_closure,
     ideal_contains,
     label_bracket_identity_holds,
+    _reduce_vector,
     verify_bracket_closure,
 )
 from goldmanab.sampling import random_label, random_noncentral_monomial
@@ -136,6 +137,34 @@ class TestDecomposition:
     def test_reassembly_lossless_two_boundary(self, u):
         assert decompose_by_center(TWO_HOLED_TORUS, u).reassemble() == u
 
+    @settings(max_examples=150)
+    @given(elements(4, "Q", max_terms=12, radius=2))
+    def test_labels_match_per_member_construction(self, u):
+        dec = decompose_by_center(TWO_HOLED_TORUS, u)
+        assert dec.parts == _decomposition_oracle(TWO_HOLED_TORUS, u)
+        trivial = PrimitiveLabel.trivial(TWO_HOLED_TORUS)
+        assert all(part.label == trivial for part in dec.parts if len(part.label.pairs) == 1)
+
+    def test_single_member_classes_share_the_trivial_label(self):
+        u = single((1, 0, 0), 2) + single((0, 1, 4), 3) + single((2, 2, 0), q(1, 3))
+        labels = [part.label for part in decompose_by_center(ONE_HOLED_TORUS, u).parts]
+        assert len(labels) == 3 and labels[0] is labels[1] is labels[2]
+        assert labels[0] == PrimitiveLabel.trivial(ONE_HOLED_TORUS)
+
+
+def _decomposition_oracle(sig, u):
+    """The parts of u built member by member: translate by the base, divide by its weight."""
+    classes = {}
+    for mono, coef in u.terms():
+        if any(mono[: 2 * sig.genus]):
+            classes.setdefault(mono[: 2 * sig.genus], []).append((mono, coef))
+    parts = []
+    for key in sorted(classes):
+        base, base_coef = classes[key][0]
+        pairs = tuple((m * base.inverse(), c / base_coef) for m, c in classes[key])
+        parts.append((PrimitiveLabel(pairs), base, base_coef))
+    return tuple(parts)
+
 
 class TestLabelBracketIdentity:
     def test_trivial_label_on_torus(self):
@@ -212,6 +241,23 @@ class TestClosure:
         inside = rows[0].scaled(q(5, 2)) + rows[1].scaled(q(-1, 3))
         assert ideal_contains(TWO_HOLED_TORUS, ideal, inside)
         assert not ideal_contains(TWO_HOLED_TORUS, ideal, single((0, 0, 1, 0), 1))
+
+    @settings(max_examples=100)
+    @given(elements(4, "Q", max_terms=6, radius=2), elements(4, "Q", max_terms=6, radius=2))
+    def test_membership_matches_rebuilt_rows(self, gen, u):
+        # ideal_contains reads the stored reduced rows; rebuilding each row
+        # as a vector and taking its least monomial as pivot must agree.
+        sig = TWO_HOLED_TORUS
+        ideal = ideal_closure(sig, [gen])
+        rows = [{m: Fraction(c) for m, c in row.terms()} for row in ideal.central_basis]
+        basis = [(min(row), row) for row in rows]
+        central = decompose_by_center(sig, gen).central + decompose_by_center(sig, u).central
+        for candidate in (u, gen, bracket(sig, gen, u), central):
+            dec = decompose_by_center(sig, candidate)
+            expected = all(part.label in ideal.labels for part in dec.parts) and not _reduce_vector(
+                {m: Fraction(c) for m, c in dec.central.terms()}, basis
+            )
+            assert ideal_contains(sig, ideal, candidate) == expected
 
     def test_label_of_wrong_length_rejected(self):
         ideal = RationalIdeal([PrimitiveLabel([(Monomial((0, 0)), q(1))])])
