@@ -62,8 +62,10 @@ def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> Module
     xs, du = _numerators(u)
     ys, dv = _numerators(v)
     # By bilinearity <x, y> = sum_i y_i <x, a_i> = sum_i x_i <a_i, y>: read
-    # one pairing vector off the form per term of the smaller side.
-    units = [Monomial.unit(sig.n, i) for i in range(1, sig.n + 1)]
+    # one pairing vector off the form per term of the smaller side.  Central
+    # units pair to zero, so the vector covers a_1..a_2g and map() below
+    # stops at its end.
+    units = [Monomial.unit(sig.n, i) for i in range(1, 2 * sig.genus + 1)]
     if len(xs) <= len(ys):
         rows = [([symplectic_product(sig, x, a) for a in units], x, c) for x, c in xs]
         cols = ys

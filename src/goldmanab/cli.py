@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import re
 import sys
@@ -20,18 +21,6 @@ from .abelian import ModuleElement, _json_shape, abelianize, exponent_vector
 from .bracket import bracket
 from .symplectic import SurfaceSignature, center_generators, symplectic_product
 from .words import Word, are_conjugate, parse_word
-
-
-def _add_surface_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--closed", type=int, metavar="G", help="closed surface of genus G")
-    group.add_argument(
-        "--boundary",
-        type=int,
-        nargs=2,
-        metavar=("G", "B"),
-        help="genus G surface with B boundary components",
-    )
 
 
 def _surface(args) -> SurfaceSignature:
@@ -200,91 +189,92 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     return report, 0 if report["all_passed"] else 1
 
 
+def _arg(*flags, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# Each subcommand once: (name, help, takes --closed/--boundary, arguments).
+# ``main`` runs ``_cmd_<name>``, looked up when it is called.
+_SUBCOMMANDS = (
+    ("bracket", "Lie bracket of two word classes", True, (
+        _arg("--ring", choices=("Z", "Q"), default="Z"), _arg("word1"), _arg("word2"))),
+    ("ab", "abelianize a formal sum of words", True, (
+        _arg("--coefs", help="comma-separated coefficients, one per word"),
+        _arg("--ring", choices=("Z", "Q")),
+        _arg("words", nargs="+"))),
+    ("pair", "symplectic pairing of two word classes", True, (_arg("word1"), _arg("word2"))),
+    ("center", "generators of the center", True, ()),
+    ("ideal-check", "bracket-closure criterion for a submodule rule", True, (
+        _arg("--rule", choices=("ik", "table"), required=True),
+        _arg("--K", help="exception tuples for the ik rule, e.g. \"[(1,0)]\""),
+        _arg("--table", help="JSON {radius, values:[[tuple, a], ...], default}"),
+        _arg("--box", type=int, default=10, help="check box radius"),
+        _arg("--samples", type=int, default=10_000),
+        _arg("--seed", type=int, required=True),
+        _arg("--exhaustive", action="store_true", help="sweep the whole box instead of sampling"))),
+    ("ik-family", "growing family of gcd-rule submodules", False, (
+        _arg("--K0", required=True, help="base exception tuples, e.g. \"[(1,0)]\""),
+        _arg("--count", type=int, required=True),
+        _arg("--n", type=int, help="tuple length when --K0 is empty"))),
+    ("ideal-closure", "smallest ideal containing rational generators", True, (
+        _arg("--gen", action="append", help="ModuleElement JSON (repeatable)"),)),
+    ("ideal-member", "exact ideal membership test", True, (
+        _arg("--ideal", required=True, help="RationalIdeal JSON"),
+        _arg("--elem", required=True, help="ModuleElement JSON"))),
+    ("chain-project", "normal form in the level quotient", False, (
+        _arg("--n", type=int, required=True, help="chain level"),
+        _arg("--c", type=int, required=True, help="distinguished generator index"),
+        _arg("word"))),
+    ("chain-separate", "first level separating two word classes", False, (
+        _arg("--c", type=int, required=True),
+        _arg("--nmax", type=int, required=True),
+        _arg("word_a"),
+        _arg("word_b"))),
+    ("selftest", "run every invariant suite", False, (
+        _arg("--seed", type=int, required=True),
+        _arg("--scale", type=float, default=1.0))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand in the table."""
     parser = argparse.ArgumentParser(
         prog="goldmanab",
         description="Exact computations in the abelianized Goldman Lie algebra of a surface.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bracket", help="Lie bracket of two word classes")
-    _add_surface_flags(p)
-    p.add_argument("--ring", choices=("Z", "Q"), default="Z")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(run=_cmd_bracket)
-
-    p = sub.add_parser("ab", help="abelianize a formal sum of words")
-    _add_surface_flags(p)
-    p.add_argument("--coefs", help="comma-separated coefficients, one per word")
-    p.add_argument("--ring", choices=("Z", "Q"))
-    p.add_argument("words", nargs="+")
-    p.set_defaults(run=_cmd_ab)
-
-    p = sub.add_parser("pair", help="symplectic pairing of two word classes")
-    _add_surface_flags(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(run=_cmd_pair)
-
-    p = sub.add_parser("center", help="generators of the center")
-    _add_surface_flags(p)
-    p.set_defaults(run=_cmd_center)
-
-    p = sub.add_parser("ideal-check", help="bracket-closure criterion for a submodule rule")
-    _add_surface_flags(p)
-    p.add_argument("--rule", choices=("ik", "table"), required=True)
-    p.add_argument("--K", help="exception tuples for the ik rule, e.g. \"[(1,0)]\"")
-    p.add_argument("--table", help="JSON {radius, values:[[tuple, a], ...], default}")
-    p.add_argument("--box", type=int, default=10, help="check box radius")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true", help="sweep the whole box instead of sampling")
-    p.set_defaults(run=_cmd_ideal_check)
-
-    p = sub.add_parser("ik-family", help="growing family of gcd-rule submodules")
-    p.add_argument("--K0", required=True, help="base exception tuples, e.g. \"[(1,0)]\"")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--n", type=int, help="tuple length when --K0 is empty")
-    p.set_defaults(run=_cmd_ik_family)
-
-    p = sub.add_parser("ideal-closure", help="smallest ideal containing rational generators")
-    _add_surface_flags(p)
-    p.add_argument("--gen", action="append", help="ModuleElement JSON (repeatable)")
-    p.set_defaults(run=_cmd_ideal_closure)
-
-    p = sub.add_parser("ideal-member", help="exact ideal membership test")
-    _add_surface_flags(p)
-    p.add_argument("--ideal", required=True, help="RationalIdeal JSON")
-    p.add_argument("--elem", required=True, help="ModuleElement JSON")
-    p.set_defaults(run=_cmd_ideal_member)
-
-    p = sub.add_parser("chain-project", help="normal form in the level quotient")
-    p.add_argument("--n", type=int, required=True, help="chain level")
-    p.add_argument("--c", type=int, required=True, help="distinguished generator index")
-    p.add_argument("word")
-    p.set_defaults(run=_cmd_chain_project)
-
-    p = sub.add_parser("chain-separate", help="first level separating two word classes")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("word_a")
-    p.add_argument("word_b")
-    p.set_defaults(run=_cmd_chain_separate)
-
-    p = sub.add_parser("selftest", help="run every invariant suite")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.set_defaults(run=_cmd_selftest)
-
+    for name, help_text, surface, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if surface:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--closed", type=int, metavar="G", help="closed surface of genus G")
+            group.add_argument(
+                "--boundary",
+                type=int,
+                nargs=2,
+                metavar=("G", "B"),
+                help="genus G surface with B boundary components",
+            )
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call.
+
+    Parsing leaves no state in it, so every call may share it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    run = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        report, code = args.run(args)
+        report, code = run(args)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         # The one place that turns bad input into exit code 2.  AttributeError
         # and IndexError are faults of the program and keep their traceback.

@@ -26,6 +26,9 @@ from .words import _check_integer
 MAX_EXHAUSTIVE_PAIRS = 10_000_000
 """The most pairs an exhaustive criterion check may visit, (2r+1)^(2n)."""
 
+MAX_TABLE_ENTRIES = 100_000
+"""The most entries a table rule may hold, (2r+1)^n."""
+
 
 def _exponent_tuple(t: Iterable[int]) -> tuple[int, ...]:
     """Outside exponent data as a plain tuple; non-integers raise TypeError."""
@@ -129,6 +132,14 @@ class TableSubmodule(GeometricSubmodule):
             raise ValueError("radius must be nonnegative")
         if default < 0:
             raise ValueError("rule values must be nonnegative")
+        side = 2 * radius + 1
+        # For side >= 2 the power passes the cap by exponent cap.bit_length(),
+        # so a huge n costs no huge power.
+        if side ** min(n, MAX_TABLE_ENTRIES.bit_length()) > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"a table of radius {radius} on n = {n} has {side}^{n} entries, "
+                f"more than the cap of {MAX_TABLE_ENTRIES}"
+            )
         self.n = n
         self.radius = radius
         table: dict[tuple[int, ...], int] = {}

@@ -48,7 +48,7 @@ class SurfaceSignature:
     def is_closed(self) -> bool:
         return self.boundary == 0
 
-    @property
+    @cached_property
     def n(self) -> int:
         if self.boundary == 0:
             return 2 * self.genus

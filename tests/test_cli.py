@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from goldmanab import cli
+from goldmanab import cli, int_ideals
 from goldmanab.cli import main
 from goldmanab.selftest import run_selftest
 
@@ -496,3 +496,10 @@ class TestLimits:
             "--box", "30", "--seed", "1", "--exhaustive",
         )
         assert f"visits {61 ** 8} pairs" in err
+
+    def test_table_over_the_cap(self, capsys):
+        err = assert_input_error(
+            capsys, "ideal-check", "--closed", "2", "--rule", "table",
+            "--table", '{"radius": 12}', "--seed", "1",
+        )
+        assert f"25^4 entries, more than the cap of {int_ideals.MAX_TABLE_ENTRIES}" in err

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from goldmanab import int_ideals
 from goldmanab.abelian import ModuleElement, Monomial
 from goldmanab.bracket import bracket
 from goldmanab.int_ideals import (
@@ -110,6 +112,28 @@ class TestTableRule:
     def test_fractional_default_rejected(self):
         with pytest.raises(TypeError, match="exact integer"):
             TableSubmodule(2, 1, default=1.5)
+
+
+class TestTableSizeCap:
+    def test_table_over_the_cap_is_refused_before_allocation(self):
+        assert 25 ** 4 > int_ideals.MAX_TABLE_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"cap of {int_ideals.MAX_TABLE_ENTRIES}"):
+                TableSubmodule(4, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_huge_n_is_refused_without_computing_the_power(self):
+        with pytest.raises(ValueError, match=r"3\^10000000 entries"):
+            TableSubmodule(10_000_000, 1)
+
+    def test_largest_bench_table_fits(self):
+        # Radius 2 on n = 5: the largest table the benchmark builds.
+        assert 5 ** 5 <= int_ideals.MAX_TABLE_ENTRIES
+        assert len(TableSubmodule(5, 2).values) == 5 ** 5
 
 
 class TestBracketClosureCheck:
