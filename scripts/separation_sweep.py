@@ -12,19 +12,12 @@ import sys
 from collections import Counter
 
 from goldmanab.chain import separation_level, total_c_exponent
-from goldmanab.words import are_conjugate, reduce_word
+from goldmanab.sampling import random_chain_word
+from goldmanab.words import are_conjugate
 
 
-def random_word(rng, n, c, max_runs):
-    raw = []
-    for _ in range(rng.randint(0, max_runs)):
-        gen = rng.randint(1, n)
-        if gen == c and rng.random() < 0.4:
-            exp = (1 if rng.random() < 0.5 else -1) * (1 << rng.randint(0, 4))
-        else:
-            exp = rng.choice([-3, -2, -1, 1, 2, 3])
-        raw.append((gen, exp))
-    return reduce_word(raw, n)
+def ordinary_exponent(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 3])
 
 
 def main() -> int:
@@ -40,8 +33,8 @@ def main() -> int:
     slack = Counter()
     done = 0
     while done < args.pairs:
-        a = random_word(rng, args.alphabet, args.c, 5)
-        b = random_word(rng, args.alphabet, args.c, 5)
+        a = random_chain_word(rng, args.alphabet, args.c, 5, ordinary_exponent)
+        b = random_chain_word(rng, args.alphabet, args.c, 5, ordinary_exponent)
         budget = total_c_exponent(a, args.c) + total_c_exponent(b, args.c)
         if budget > args.max_budget or are_conjugate(a, b):
             continue

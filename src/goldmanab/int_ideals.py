@@ -29,6 +29,9 @@ MAX_EXHAUSTIVE_PAIRS = 10_000_000
 MAX_TABLE_ENTRIES = 100_000
 """The most entries a table rule may hold, (2r+1)^n."""
 
+MAX_FAMILY_TUPLES = 100_000
+"""The most exception tuples a gcd family may hold in all, count*|K0| + count*(count-1)/2."""
+
 
 def _exponent_tuple(t: Iterable[int]) -> tuple[int, ...]:
     """Outside exponent data as a plain tuple; non-integers raise TypeError."""
@@ -323,7 +326,9 @@ def gcd_submodule_family(
 
     The j-th member adds the first j tuples outside k0 with gcd > 1, in the
     deterministic (max |entry|, lexicographic) enumeration, so consecutive
-    members differ exactly at the tuple just added.
+    members differ exactly at the tuple just added.  A family holding more
+    than MAX_FAMILY_TUPLES tuples in all raises ValueError before any member
+    is built.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -333,6 +338,12 @@ def gcd_submodule_family(
             raise ValueError("n is required when the base exception set is empty")
         n = len(k0[0])
     base = frozenset(k0)
+    tuples = count * len(base) + count * (count - 1) // 2
+    if tuples > MAX_FAMILY_TUPLES:
+        raise ValueError(
+            f"a family of {count} members holds {tuples} exception tuples, "
+            f"more than the cap of {MAX_FAMILY_TUPLES}"
+        )
     family = [GcdSubmodule(n, base)]
     added: list[tuple[int, ...]] = []
     stream = _eligible_tuples(n, base)

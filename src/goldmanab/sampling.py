@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 from .abelian import ModuleElement, Monomial
 from .rat_ideals import PrimitiveLabel
@@ -34,6 +35,24 @@ def random_word(
         (rng.randint(1, n), random_nonzero_int(rng, max_exp))
         for _ in range(rng.randint(0, max_runs))
     ]
+    return reduce_word(raw, n)
+
+
+def random_chain_word(
+    rng: random.Random, n: int, c: int, max_runs: int, exponent: Callable[[random.Random], int]
+) -> Word:
+    """A word for the chain quotients: runs of a_c often carry ±2^k, k <= 4.
+
+    ``exponent(rng)`` draws every other exponent.
+    """
+    raw = []
+    for _ in range(rng.randint(0, max_runs)):
+        gen = rng.randint(1, n)
+        if gen == c and rng.random() < 0.4:
+            exp = (1 if rng.random() < 0.5 else -1) * (1 << rng.randint(0, 4))
+        else:
+            exp = exponent(rng)
+        raw.append((gen, exp))
     return reduce_word(raw, n)
 
 

@@ -1,17 +1,22 @@
 """Seeded property suites over every module, with shrunken counterexamples.
 
-Each suite draws its samples from a ``random.Random`` seeded by a stable
-string derived from the run seed and the property name, so a report is a
-pure function of (seed, scale).  A failing property reports one
-counterexample, greedily minimized while it keeps failing.
+Every property is one row of ``PROPERTIES``, declared by ``@_prop`` on its
+check.  ``run_selftest`` draws each property's samples from a
+``random.Random`` seeded by a stable string derived from the run seed, the
+suite and the property name, so a report is a pure function of
+(seed, scale).  A check ``check(rng, i)`` tests sample ``i`` and returns
+``None`` or a counterexample; a whole-run check ``check(rng, count)`` tests
+all its samples at once.  Counterexamples made of words or elements are
+greedily minimized while they keep failing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import chain, int_ideals, rat_ideals
 from .abelian import (
@@ -23,6 +28,7 @@ from .abelian import (
 from .bracket import bracket, bracket_monomials
 from .sampling import (
     random_central_monomial,
+    random_chain_word,
     random_element,
     random_fraction,
     random_label,
@@ -40,12 +46,30 @@ from .symplectic import (
 )
 from .words import Word, are_conjugate, conjugacy_canonical, cyclic_reduce, reduce_word
 
-CheckFn = Callable[[random.Random, int], Optional[dict]]
-
 CLOSED_1 = SurfaceSignature.closed(1)
 CLOSED_2 = SurfaceSignature.closed(2)
 BOUNDARY_12 = SurfaceSignature.with_boundary(1, 2)
 BOUNDARY_13 = SurfaceSignature.with_boundary(1, 3)
+
+
+class Property(NamedTuple):
+    suite: str
+    name: str
+    base: int  # samples at scale 1
+    check: Callable[[random.Random, int], Optional[dict]]
+    whole: bool  # check(rng, count) runs every sample; else check(rng, i) runs sample i
+
+
+PROPERTIES: list[Property] = []
+"""Every property in report order; the rows of a suite are contiguous."""
+
+
+def _prop(suite: str, name: str, base: int, whole: bool = False):
+    def declare(check):
+        PROPERTIES.append(Property(suite, name, base, check, whole))
+        return check
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
@@ -99,119 +123,96 @@ def _shrink(items: tuple, variants, size, fails) -> tuple:
         current = smaller
 
 
-def _word_failure(words: tuple[Word, ...], fails, **extra) -> dict:
-    small = _shrink(words, _word_variants, len, fails)
-    payload = {f"word_{i}": str(w) for i, w in enumerate(small)}
-    return {"counterexample": {**payload, **extra}}
+def _words(fails, sample: tuple[Word, ...], **extra) -> Optional[dict]:
+    """None if ``sample`` passes, else its shrunken words followed by ``extra``."""
+    if not fails(sample):
+        return None
+    small = _shrink(sample, _word_variants, len, fails)
+    return {**{f"word_{i}": str(w) for i, w in enumerate(small)}, **extra}
 
 
-def _element_failure(elems: tuple[ModuleElement, ...], fails, **extra) -> dict:
-    small = _shrink(elems, _element_variants, _element_size, fails)
-    payload = {f"element_{i}": u.to_json_obj() for i, u in enumerate(small)}
-    return {"counterexample": {**payload, **extra}}
+def _elements(fails, sample: tuple[ModuleElement, ...], **extra) -> Optional[dict]:
+    """None if ``sample`` passes, else its shrunken elements followed by ``extra``."""
+    if not fails(sample):
+        return None
+    small = _shrink(sample, _element_variants, _element_size, fails)
+    return {**{f"element_{i}": u.to_json_obj() for i, u in enumerate(small)}, **extra}
 
 
 # ---------------------------------------------------------------------------
 # words
 
-def _check_reduce_idempotent(rng, count):
-    for _ in range(count):
-        raw = [(rng.randint(1, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))]
-        w = reduce_word(raw, 3)
-        again = reduce_word([(l.gen, l.exp) for l in w.letters], 3)
-        if again != w:
-            return {"counterexample": {"raw": raw}}
-    return None
+@_prop("words", "reduce_idempotent", 10_000)
+def _(rng, i):
+    raw = [(rng.randint(1, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))]
+    w = reduce_word(raw, 3)
+    if reduce_word([(l.gen, l.exp) for l in w.letters], 3) != w:
+        return {"raw": raw}
 
 
-def _check_concat_associative(rng, count):
-    fails = lambda t: (t[0] * t[1]) * t[2] != t[0] * (t[1] * t[2])
-    for _ in range(count):
-        sample = tuple(random_word(rng, 3) for _ in range(3))
-        if fails(sample):
-            return _word_failure(sample, fails)
-        u, e = sample[0], Word.identity(3)
-        if e * u != u or u * e != u:
-            return {"counterexample": {"word": str(u)}}
-    return None
+@_prop("words", "concat_associative", 10_000)
+def _(rng, i):
+    sample = tuple(random_word(rng, 3) for _ in range(3))
+    found = _words(lambda t: (t[0] * t[1]) * t[2] != t[0] * (t[1] * t[2]), sample)
+    u, e = sample[0], Word.identity(3)
+    if found is None and (e * u != u or u * e != u):
+        return {"word": str(u)}
+    return found
 
 
-def _check_inverse_cancels(rng, count):
-    fails = lambda t: not (t[0] * t[0].inverse()).is_identity()
-    for _ in range(count):
-        sample = (random_word(rng, 3),)
-        if fails(sample):
-            return _word_failure(sample, fails)
-    return None
+@_prop("words", "inverse_cancels", 10_000)
+def _(rng, i):
+    return _words(lambda t: not (t[0] * t[0].inverse()).is_identity(), (random_word(rng, 3),))
 
 
-def _check_conjugation_invariance(rng, count):
+@_prop("words", "conjugation_invariance", 10_000)
+def _(rng, i):
     fails = lambda t: conjugacy_canonical(t[0] * t[1] * t[0].inverse()) != conjugacy_canonical(t[1])
-    for _ in range(count):
-        sample = (random_word(rng, 3), random_word(rng, 3))
-        if fails(sample):
-            return _word_failure(sample, fails)
-    return None
+    return _words(fails, (random_word(rng, 3), random_word(rng, 3)))
 
 
 def _min_conjugate_length(w: Word) -> int:
     # Independent oracle: least reduced length over all rotations of the
     # fully expanded letter sequence.
-    expanded: list[tuple[int, int]] = []
-    for l in w.letters:
-        step = 1 if l.exp > 0 else -1
-        expanded.extend((l.gen, step) for _ in range(abs(l.exp)))
-    if not expanded:
-        return 0
-    best = len(expanded)
-    for i in range(len(expanded)):
-        rotated = expanded[i:] + expanded[:i]
-        best = min(best, len(reduce_word(rotated, w.n)))
-    return best
+    expanded = [(l.gen, 1 if l.exp > 0 else -1) for l in w.letters for _ in range(abs(l.exp))]
+    rotations = (expanded[i:] + expanded[:i] for i in range(len(expanded)))
+    return min((len(reduce_word(rotated, w.n)) for rotated in rotations), default=0)
 
 
-def _check_cyclic_core_minimal(rng, count):
-    for _ in range(count):
-        w = random_word(rng, 3, max_runs=4, max_exp=2)
-        if len(w) > 6:
-            continue
-        core, conj = cyclic_reduce(w)
-        if conj * core * conj.inverse() != w:
-            return {"counterexample": {"word": str(w), "reason": "conjugation identity"}}
-        if len(core) != _min_conjugate_length(w):
-            return {"counterexample": {"word": str(w), "core": str(core)}}
-    return None
+@_prop("words", "cyclic_core_minimal", 2_000)
+def _(rng, i):
+    w = random_word(rng, 3, max_runs=4, max_exp=2)
+    if len(w) > 6:
+        return None
+    core, conj = cyclic_reduce(w)
+    if conj * core * conj.inverse() != w:
+        return {"word": str(w), "reason": "conjugation identity"}
+    if len(core) != _min_conjugate_length(w):
+        return {"word": str(w), "core": str(core)}
 
 
 # ---------------------------------------------------------------------------
 # abelian
 
-def _check_abelianize_conjugation_invariant(rng, count):
-    fails = lambda t: abelianize([(1, t[0] * t[1] * t[0].inverse())], 3) != abelianize([(1, t[1])], 3)
-    for _ in range(count):
-        sample = (random_word(rng, 3), random_word(rng, 3))
-        if fails(sample):
-            return _word_failure(sample, fails)
-    return None
+@_prop("abelian", "conjugation_invariant", 10_000)
+def _(rng, i):
+    ab = lambda w: abelianize([(1, w)], 3)
+    fails = lambda t: ab(t[0] * t[1] * t[0].inverse()) != ab(t[1])
+    return _words(fails, (random_word(rng, 3), random_word(rng, 3)))
 
 
-def _check_exponent_vector_homomorphism(rng, count):
+@_prop("abelian", "exponent_vector_homomorphism", 10_000)
+def _(rng, i):
     fails = lambda t: exponent_vector(t[0] * t[1]) != exponent_vector(t[0]) * exponent_vector(t[1])
-    for _ in range(count):
-        sample = (random_word(rng, 3), random_word(rng, 3))
-        if fails(sample):
-            return _word_failure(sample, fails)
-    return None
+    return _words(fails, (random_word(rng, 3), random_word(rng, 3)))
 
 
-def _check_abelianize_linear(rng, count):
-    for _ in range(count):
-        s = [(random_nonzero_int(rng, 9), random_word(rng, 3)) for _ in range(rng.randint(0, 3))]
-        t = [(random_nonzero_int(rng, 9), random_word(rng, 3)) for _ in range(rng.randint(0, 3))]
-        if abelianize(s + t, 3) != abelianize(s, 3) + abelianize(t, 3):
-            return {"counterexample": {"left": [(c, str(w)) for c, w in s],
-                                       "right": [(c, str(w)) for c, w in t]}}
-    return None
+@_prop("abelian", "linear", 10_000)
+def _(rng, i):
+    s = [(random_nonzero_int(rng, 9), random_word(rng, 3)) for _ in range(rng.randint(0, 3))]
+    t = [(random_nonzero_int(rng, 9), random_word(rng, 3)) for _ in range(rng.randint(0, 3))]
+    if abelianize(s + t, 3) != abelianize(s, 3) + abelianize(t, 3):
+        return {"left": [(c, str(w)) for c, w in s], "right": [(c, str(w)) for c, w in t]}
 
 
 # ---------------------------------------------------------------------------
@@ -220,155 +221,119 @@ def _check_abelianize_linear(rng, count):
 _SIGS = (CLOSED_1, CLOSED_2, BOUNDARY_12)
 
 
-def _check_pairing_antisymmetry(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        x, y = random_monomial(rng, sig.n), random_monomial(rng, sig.n)
-        if symplectic_product(sig, x, y) != -symplectic_product(sig, y, x):
-            return {"counterexample": {"sig": sig.describe(), "x": list(x), "y": list(y)}}
-    return None
+@_prop("symplectic", "antisymmetry", 10_000)
+def _(rng, i):
+    sig = _SIGS[i % len(_SIGS)]
+    x, y = random_monomial(rng, sig.n), random_monomial(rng, sig.n)
+    if symplectic_product(sig, x, y) != -symplectic_product(sig, y, x):
+        return {"sig": sig.describe(), "x": list(x), "y": list(y)}
 
 
-def _check_pairing_matrix_route(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        x, y = random_monomial(rng, sig.n), random_monomial(rng, sig.n)
-        direct = symplectic_product(sig, x, y)
-        via_matrix = sum(b * m for b, m in zip(y, pairing_vector(sig, x)))
-        if direct != via_matrix:
-            return {"counterexample": {"sig": sig.describe(), "x": list(x), "y": list(y)}}
-    return None
+@_prop("symplectic", "matrix_route", 10_000)
+def _(rng, i):
+    sig = _SIGS[i % len(_SIGS)]
+    x, y = random_monomial(rng, sig.n), random_monomial(rng, sig.n)
+    if symplectic_product(sig, x, y) != sum(b * m for b, m in zip(y, pairing_vector(sig, x))):
+        return {"sig": sig.describe(), "x": list(x), "y": list(y)}
 
 
-def _check_pairing_biadditive(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        x, x2, y = (random_monomial(rng, sig.n) for _ in range(3))
-        if symplectic_product(sig, x * x2, y) != symplectic_product(sig, x, y) + symplectic_product(sig, x2, y):
-            return {"counterexample": {"sig": sig.describe(), "x": list(x),
-                                       "x2": list(x2), "y": list(y)}}
-    return None
+@_prop("symplectic", "biadditive", 10_000)
+def _(rng, i):
+    sig = _SIGS[i % len(_SIGS)]
+    x, x2, y = (random_monomial(rng, sig.n) for _ in range(3))
+    pair = lambda a, b: symplectic_product(sig, a, b)
+    if pair(x * x2, y) != pair(x, y) + pair(x2, y):
+        return {"sig": sig.describe(), "x": list(x), "x2": list(x2), "y": list(y)}
 
 
-def _check_center_criterion(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        x = random_monomial(rng, sig.n)
-        vanishing = not any(pairing_vector(sig, x))
-        by_units = all(
-            symplectic_product(sig, x, Monomial.unit(sig.n, j)) == 0 for j in range(1, sig.n + 1)
-        )
-        if not (is_central(sig, x) == vanishing == by_units):
-            return {"counterexample": {"sig": sig.describe(), "x": list(x)}}
-    return None
+@_prop("symplectic", "center_criterion", 10_000)
+def _(rng, i):
+    sig = _SIGS[i % len(_SIGS)]
+    x = random_monomial(rng, sig.n)
+    vanishing = not any(pairing_vector(sig, x))
+    by_units = all(
+        symplectic_product(sig, x, Monomial.unit(sig.n, j)) == 0 for j in range(1, sig.n + 1)
+    )
+    if not (is_central(sig, x) == vanishing == by_units):
+        return {"sig": sig.describe(), "x": list(x)}
 
 
-def _check_intersection_splitting(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        sample = tuple(random_word(rng, sig.n) for _ in range(4))
-        fails = lambda t: intersection_pairing(sig, t[0] * t[1], t[2] * t[3]) != sum(
-            intersection_pairing(sig, a, b) for a in t[:2] for b in t[2:]
-        )
-        if fails(sample):
-            return _word_failure(sample, fails, sig=sig.describe())
-    return None
+@_prop("symplectic", "intersection_splitting", 10_000)
+def _(rng, i):
+    sig = _SIGS[i % len(_SIGS)]
+    sample = tuple(random_word(rng, sig.n) for _ in range(4))
+    fails = lambda t: intersection_pairing(sig, t[0] * t[1], t[2] * t[3]) != sum(
+        intersection_pairing(sig, a, b) for a in t[:2] for b in t[2:]
+    )
+    return _words(fails, sample, sig=sig.describe())
 
 
 # ---------------------------------------------------------------------------
 # bracket
 
-def _check_bracket_antisymmetry(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        ring = "Z" if i % 2 == 0 else "Q"
-        sample = (random_element(rng, sig.n, ring), random_element(rng, sig.n, ring))
-        fails = lambda t: not (bracket(sig, t[0], t[1]) + bracket(sig, t[1], t[0])).is_zero()
-        if fails(sample):
-            return _element_failure(sample, fails, sig=sig.describe())
-    return None
+@_prop("bracket", "antisymmetry", 10_000)
+def _(rng, i):
+    sig, ring = _SIGS[i % len(_SIGS)], "ZQ"[i % 2]
+    sample = (random_element(rng, sig.n, ring), random_element(rng, sig.n, ring))
+    fails = lambda t: not (bracket(sig, t[0], t[1]) + bracket(sig, t[1], t[0])).is_zero()
+    return _elements(fails, sample, sig=sig.describe())
 
 
-def _check_bracket_jacobi(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        ring = "Z" if i % 2 == 0 else "Q"
-        sample = tuple(random_element(rng, sig.n, ring) for _ in range(3))
-        fails = lambda t: not (
-            bracket(sig, t[0], bracket(sig, t[1], t[2]))
-            + bracket(sig, t[1], bracket(sig, t[2], t[0]))
-            + bracket(sig, t[2], bracket(sig, t[0], t[1]))
-        ).is_zero()
-        if fails(sample):
-            return _element_failure(sample, fails, sig=sig.describe())
-    return None
+@_prop("bracket", "jacobi", 1_000)
+def _(rng, i):
+    sig, ring = _SIGS[i % len(_SIGS)], "ZQ"[i % 2]
+    sample = tuple(random_element(rng, sig.n, ring) for _ in range(3))
+    fails = lambda t: not (
+        bracket(sig, t[0], bracket(sig, t[1], t[2]))
+        + bracket(sig, t[1], bracket(sig, t[2], t[0]))
+        + bracket(sig, t[2], bracket(sig, t[0], t[1]))
+    ).is_zero()
+    return _elements(fails, sample, sig=sig.describe())
 
 
-def _check_bracket_matches_intersection(rng, count):
-    for i in range(count):
-        sig = _SIGS[i % len(_SIGS)]
-        sample = (random_word(rng, sig.n), random_word(rng, sig.n))
+@_prop("bracket", "matches_intersection_number", 10_000)
+def _(rng, i):
+    sig = _SIGS[i % len(_SIGS)]
 
-        def fails(t):
-            xm, ym = exponent_vector(t[0], sig.n), exponent_vector(t[1], sig.n)
-            return bracket_monomials(sig, xm, ym).coefficient(xm * ym) != intersection_pairing(sig, *t)
+    def fails(t):
+        xm, ym = exponent_vector(t[0], sig.n), exponent_vector(t[1], sig.n)
+        return bracket_monomials(sig, xm, ym).coefficient(xm * ym) != intersection_pairing(sig, *t)
 
-        if fails(sample):
-            return _word_failure(sample, fails, sig=sig.describe())
-    return None
+    return _words(fails, (random_word(rng, sig.n), random_word(rng, sig.n)), sig=sig.describe())
 
 
-def _check_bracket_center_annihilates(rng, count):
-    for _ in range(count):
-        sig = BOUNDARY_12 if rng.random() < 0.5 else BOUNDARY_13
-        c = random_central_monomial(rng, sig)
-        y = random_monomial(rng, sig.n)
-        if not bracket_monomials(sig, c, y).is_zero():
-            return {"counterexample": {"sig": sig.describe(), "c": list(c), "y": list(y)}}
-    return None
+@_prop("bracket", "center_annihilates", 10_000)
+def _(rng, i):
+    sig = BOUNDARY_12 if rng.random() < 0.5 else BOUNDARY_13
+    c, y = random_central_monomial(rng, sig), random_monomial(rng, sig.n)
+    if not bracket_monomials(sig, c, y).is_zero():
+        return {"sig": sig.describe(), "c": list(c), "y": list(y)}
 
 
 # ---------------------------------------------------------------------------
 # integer ideals
 
-def _random_gcd_submodule(rng, n) -> int_ideals.GcdSubmodule:
-    exceptions = {
-        tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))
-    }
-    return int_ideals.GcdSubmodule(n, exceptions)
-
-
-def _check_gcd_rule_bracket_closed(rng, count):
-    for i in range(count):
-        sig = CLOSED_1 if i % 2 == 0 else CLOSED_2
-        sub = _random_gcd_submodule(rng, sig.n)
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            mono = random_monomial(rng, sig.n, 6)
-            mult = sub.min_multiple(mono)
-            if mult == 0:
-                continue
+@_prop("int_ideals", "gcd_rule_bracket_closed", 1_000)
+def _(rng, i):
+    sig = CLOSED_1 if i % 2 == 0 else CLOSED_2
+    exceptions = {tuple(rng.randint(-4, 4) for _ in range(sig.n)) for _ in range(rng.randint(0, 3))}
+    sub = int_ideals.GcdSubmodule(sig.n, exceptions)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        mono = random_monomial(rng, sig.n, 6)
+        mult = sub.min_multiple(mono)
+        if mult:
             terms.append((mono, mult * random_nonzero_int(rng, 5)))
-        member = ModuleElement("Z", terms)
-        v = random_monomial(rng, sig.n, 6)
-        image = bracket(sig, member, ModuleElement.single("Z", v, 1))
-        if not sub.contains(image):
-            return {
-                "counterexample": {
-                    "sig": sig.describe(),
-                    "exceptions": sorted(sub.exceptions),
-                    "member": member.to_json_obj(),
-                    "against": list(v),
-                }
-            }
-    return None
+    member = ModuleElement("Z", terms)
+    v = random_monomial(rng, sig.n, 6)
+    if not sub.contains(bracket(sig, member, ModuleElement.single("Z", v, 1))):
+        return {"sig": sig.describe(), "exceptions": sorted(sub.exceptions),
+                "member": member.to_json_obj(), "against": list(v)}
 
 
 def _exhaustive_bracket_containment(sig, sub, radius) -> bool:
     # Direct closure test through the bracket, the oracle for the
     # divisibility criterion on table rules.
-    import itertools
-
     for v_exps in itertools.product(range(-radius, radius + 1), repeat=sig.n):
         v = Monomial(v_exps)
         mult = sub.min_multiple(v)
@@ -384,50 +349,43 @@ def _exhaustive_bracket_containment(sig, sub, radius) -> bool:
     return True
 
 
-def _check_table_criterion_matches_bracket(rng, count):
-    for _ in range(count):
-        values = {
-            (i, j): rng.choice([0, 1, 1, 2, 3])
-            for i in range(-2, 3)
-            for j in range(-2, 3)
-        }
-        sub = int_ideals.TableSubmodule(2, 2, values)
-        by_criterion = int_ideals.bracket_closure_check(CLOSED_1, sub, 2, samples=None).ok
-        by_bracket = _exhaustive_bracket_containment(CLOSED_1, sub, 2)
-        if by_criterion != by_bracket:
-            return {"counterexample": {"values": sorted(values.items()),
-                                       "criterion": by_criterion, "bracket": by_bracket}}
-    return None
+def _random_table(rng, choices) -> dict:
+    return {(a, b): rng.choice(choices) for a in range(-2, 3) for b in range(-2, 3)}
 
 
-def _check_criteria_agree_on_tables(rng, count):
-    for _ in range(count):
-        values = {
-            (i, j): rng.choice([1, 2]) for i in range(-2, 3) for j in range(-2, 3)
-        }
-        sub = int_ideals.TableSubmodule(2, 2, values)
-        a = int_ideals.bracket_closure_check(CLOSED_1, sub, 2, samples=None).ok
-        b = int_ideals.gcd_divisibility_check(CLOSED_1, sub, 2, samples=None).ok
-        if a != b:
-            return {"counterexample": {"values": sorted(values.items()),
-                                       "bracket_form": a, "gcd_form": b}}
-    return None
+@_prop("int_ideals", "table_criterion_matches_bracket", 20)
+def _(rng, i):
+    values = _random_table(rng, [0, 1, 1, 2, 3])
+    sub = int_ideals.TableSubmodule(2, 2, values)
+    by_criterion = int_ideals.bracket_closure_check(CLOSED_1, sub, 2, samples=None).ok
+    by_bracket = _exhaustive_bracket_containment(CLOSED_1, sub, 2)
+    if by_criterion != by_bracket:
+        return {"values": sorted(values.items()), "criterion": by_criterion, "bracket": by_bracket}
 
 
-def _check_family_distinct_ideals(rng, count):
-    for i in range(count):
-        sig = CLOSED_1 if i % 2 == 0 else CLOSED_2
-        k0 = {tuple(rng.randint(-3, 3) for _ in range(sig.n)) for _ in range(rng.randint(1, 3))}
-        family = int_ideals.gcd_submodule_family(k0, 4)
-        seen = set()
-        for sub in family:
-            if sub.exceptions in seen:
-                return {"counterexample": {"k0": sorted(k0), "repeat": sorted(sub.exceptions)}}
-            seen.add(sub.exceptions)
-            report = int_ideals.bracket_closure_check(sig, sub, 6, samples=60, seed=rng.randint(0, 10**9))
-            if not report.ok:
-                return {"counterexample": {"k0": sorted(k0), "violation": report.counterexample}}
-    return None
+@_prop("int_ideals", "criteria_agree_on_tables", 60)
+def _(rng, i):
+    values = _random_table(rng, [1, 2])
+    sub = int_ideals.TableSubmodule(2, 2, values)
+    a = int_ideals.bracket_closure_check(CLOSED_1, sub, 2, samples=None).ok
+    b = int_ideals.gcd_divisibility_check(CLOSED_1, sub, 2, samples=None).ok
+    if a != b:
+        return {"values": sorted(values.items()), "bracket_form": a, "gcd_form": b}
+
+
+@_prop("int_ideals", "family_distinct_ideals", 20)
+def _(rng, i):
+    sig = CLOSED_1 if i % 2 == 0 else CLOSED_2
+    k0 = {tuple(rng.randint(-3, 3) for _ in range(sig.n)) for _ in range(rng.randint(1, 3))}
+    seen = set()
+    for sub in int_ideals.gcd_submodule_family(k0, 4):
+        if sub.exceptions in seen:
+            return {"k0": sorted(k0), "repeat": sorted(sub.exceptions)}
+        seen.add(sub.exceptions)
+        seed = rng.randint(0, 10**9)
+        report = int_ideals.bracket_closure_check(sig, sub, 6, samples=60, seed=seed)
+        if not report.ok:
+            return {"k0": sorted(k0), "violation": report.counterexample}
 
 
 # ---------------------------------------------------------------------------
@@ -436,93 +394,78 @@ def _check_family_distinct_ideals(rng, count):
 _RAT_SIGS = (BOUNDARY_12, BOUNDARY_13)
 
 
-def _check_decomposition_lossless(rng, count):
-    for i in range(count):
-        sig = _RAT_SIGS[i % 2]
-        sample = (random_element(rng, sig.n, "Q", max_terms=5, radius=4),)
-        fails = lambda t: rat_ideals.decompose_by_center(sig, t[0]).reassemble() != t[0]
-        if fails(sample):
-            return _element_failure(sample, fails, sig=sig.describe())
-    return None
+@_prop("rat_ideals", "decomposition_lossless", 10_000)
+def _(rng, i):
+    sig = _RAT_SIGS[i % 2]
+    sample = (random_element(rng, sig.n, "Q", max_terms=5, radius=4),)
+    fails = lambda t: rat_ideals.decompose_by_center(sig, t[0]).reassemble() != t[0]
+    return _elements(fails, sample, sig=sig.describe())
 
 
-def _check_label_bracket_identity(rng, count):
-    for i in range(count):
-        sig = _RAT_SIGS[i % 2]
-        label = random_label(rng, sig)
-        x = random_noncentral_monomial(rng, sig)
-        y = random_monomial(rng, sig.n)
-        if not rat_ideals.label_bracket_identity_holds(sig, label, x, y):
-            return {"counterexample": {"sig": sig.describe(), "label": label.to_json_obj(),
-                                       "x": list(x), "y": list(y)}}
-    return None
+@_prop("rat_ideals", "label_bracket_identity", 1_000)
+def _(rng, i):
+    sig = _RAT_SIGS[i % 2]
+    label = random_label(rng, sig)
+    x = random_noncentral_monomial(rng, sig)
+    y = random_monomial(rng, sig.n)
+    if not rat_ideals.label_bracket_identity_holds(sig, label, x, y):
+        return {"sig": sig.describe(), "label": label.to_json_obj(), "x": list(x), "y": list(y)}
+
+
+def _random_central_element(rng, sig, max_terms) -> ModuleElement:
+    return ModuleElement(
+        "Q",
+        [
+            (random_central_monomial(rng, sig), random_fraction(rng, 5))
+            for _ in range(rng.randint(1, max_terms))
+        ],
+    )
 
 
 def _random_rational_ideal(rng, sig) -> rat_ideals.RationalIdeal:
     labels = {random_label(rng, sig) for _ in range(rng.randint(0, 3))}
-    central = [
-        ModuleElement(
-            "Q",
-            [
-                (random_central_monomial(rng, sig), random_fraction(rng, 5))
-                for _ in range(rng.randint(1, 2))
-            ],
-        )
-        for _ in range(rng.randint(0, 2))
-    ]
+    central = [_random_central_element(rng, sig, 2) for _ in range(rng.randint(0, 2))]
     return rat_ideals.RationalIdeal(labels, central)
 
 
-def _check_closure_bracket_closed(rng, count):
-    for i in range(count):
-        sig = _RAT_SIGS[i % 2]
-        ideal = _random_rational_ideal(rng, sig)
-        violation = rat_ideals.verify_bracket_closure(sig, ideal, rng, samples=10)
-        if violation is not None:
-            return {"counterexample": {"sig": sig.describe(), **violation}}
-    return None
+@_prop("rat_ideals", "closure_bracket_closed", 100)
+def _(rng, i):
+    sig = _RAT_SIGS[i % 2]
+    ideal = _random_rational_ideal(rng, sig)
+    violation = rat_ideals.verify_bracket_closure(sig, ideal, rng, samples=10)
+    return None if violation is None else {"sig": sig.describe(), **violation}
 
 
-def _check_closure_roundtrip(rng, count):
-    for i in range(count):
-        sig = _RAT_SIGS[i % 2]
-        ideal = _random_rational_ideal(rng, sig)
-        generators = [row for row in ideal.central_basis]
-        for label in ideal.sorted_labels():
-            x = random_noncentral_monomial(rng, sig)
-            generators.append(label.element_at(x).scaled(random_fraction(rng, 5)))
-        rebuilt = rat_ideals.ideal_closure(sig, generators)
-        if rebuilt != ideal:
-            return {"counterexample": {"sig": sig.describe(), "ideal": ideal.to_json_obj(),
-                                       "rebuilt": rebuilt.to_json_obj()}}
-    return None
+@_prop("rat_ideals", "closure_roundtrip", 500)
+def _(rng, i):
+    sig = _RAT_SIGS[i % 2]
+    ideal = _random_rational_ideal(rng, sig)
+    generators = list(ideal.central_basis)
+    for label in ideal.sorted_labels():
+        x = random_noncentral_monomial(rng, sig)
+        generators.append(label.element_at(x).scaled(random_fraction(rng, 5)))
+    rebuilt = rat_ideals.ideal_closure(sig, generators)
+    if rebuilt != ideal:
+        return {"sig": sig.describe(), "ideal": ideal.to_json_obj(),
+                "rebuilt": rebuilt.to_json_obj()}
 
 
-def _check_central_closure_has_no_labels(rng, count):
-    for i in range(count):
-        sig = _RAT_SIGS[i % 2]
-        u = ModuleElement(
-            "Q",
-            [
-                (random_central_monomial(rng, sig), random_fraction(rng, 5))
-                for _ in range(rng.randint(1, 3))
-            ],
-        )
-        ideal = rat_ideals.ideal_closure(sig, [u])
-        if ideal.labels:
-            return {"counterexample": {"sig": sig.describe(), "element": u.to_json_obj()}}
-    return None
+@_prop("rat_ideals", "central_closure_has_no_labels", 1_000)
+def _(rng, i):
+    sig = _RAT_SIGS[i % 2]
+    u = _random_central_element(rng, sig, 3)
+    if rat_ideals.ideal_closure(sig, [u]).labels:
+        return {"sig": sig.describe(), "element": u.to_json_obj()}
 
 
-def _check_closed_classification(rng, count):
-    ok = rat_ideals.closed_surface_classification_check(
-        CLOSED_1, rng, samples=max(1, count // 2)
-    ) and rat_ideals.closed_surface_classification_check(
-        CLOSED_2, rng, samples=max(1, count // 2)
-    )
-    if not ok:
-        return {"counterexample": {"reason": "closure escaped the three closed-surface forms"}}
-    return None
+@_prop("rat_ideals", "closed_classification", 200, whole=True)
+def _(rng, count):
+    samples = max(1, count // 2)
+    if not all(
+        rat_ideals.closed_surface_classification_check(sig, rng, samples=samples)
+        for sig in (CLOSED_1, CLOSED_2)
+    ):
+        return {"reason": "closure escaped the three closed-surface forms"}
 
 
 # ---------------------------------------------------------------------------
@@ -532,194 +475,116 @@ _CHAIN_N = 3
 _CHAIN_C = 1
 
 
-def _random_chain_word(rng, max_runs=5) -> Word:
-    raw = []
-    for _ in range(rng.randint(0, max_runs)):
-        gen = rng.randint(1, _CHAIN_N)
-        if gen == _CHAIN_C and rng.random() < 0.4:
-            exp = (1 if rng.random() < 0.5 else -1) * (1 << rng.randint(0, 4))
-        else:
-            exp = random_nonzero_int(rng, 3)
-        raw.append((gen, exp))
-    return reduce_word(raw, _CHAIN_N)
+def _chain_word(rng, max_runs=5) -> Word:
+    return random_chain_word(rng, _CHAIN_N, _CHAIN_C, max_runs, lambda r: random_nonzero_int(r, 3))
 
 
-def _check_projection_homomorphism(rng, count):
-    for i in range(count):
-        level = i % 7
-        sample = (_random_chain_word(rng), _random_chain_word(rng))
-        project = lambda w: chain.project_word(w, level, _CHAIN_C)
-        fails = lambda t: project(t[0] * t[1]) != project(t[0]) * project(t[1])
-        if fails(sample):
-            return _word_failure(sample, fails, level=level)
-    return None
+def _project(level: int):
+    return lambda w: chain.project_word(w, level, _CHAIN_C)
 
 
-def _check_kernel_nesting(rng, count):
-    for i in range(count):
-        level = i % 6
-        w = _random_chain_word(rng)
-        if rng.random() < 0.5:
-            exps = [rng.randint(level + 1, level + 3) for _ in range(rng.randint(1, 2))]
-            xs = [_random_chain_word(rng, 2) for _ in exps]
-            w = w * chain.kernel_element(level + 1, exps, xs, _random_chain_word(rng, 2), _CHAIN_C)
-        finer = chain.project_word(w, level + 1, _CHAIN_C)
-        refactored = chain.project_word(finer.to_word(), level, _CHAIN_C)
-        if refactored != chain.project_word(w, level, _CHAIN_C):
-            return {"counterexample": {"word": str(w), "level": level}}
-        if finer.is_identity() and not chain.project_word(w, level, _CHAIN_C).is_identity():
-            return {"counterexample": {"word": str(w), "level": level, "reason": "kernel not nested"}}
-    return None
+@_prop("chain", "projection_homomorphism", 10_000)
+def _(rng, i):
+    level = i % 7
+    project = _project(level)
+    fails = lambda t: project(t[0] * t[1]) != project(t[0]) * project(t[1])
+    return _words(fails, (_chain_word(rng), _chain_word(rng)), level=level)
 
 
-def _check_kernel_witnesses(rng, count):
-    for _ in range(count):
-        level = rng.randint(0, 5)
-        k = rng.randint(1, 3)
-        exps = [rng.randint(level, level + 3) for _ in range(k)]
-        xs = [_random_chain_word(rng, 3) for _ in range(k)]
-        g = _random_chain_word(rng, 3)
-        witness = chain.kernel_element(level, exps, xs, g, _CHAIN_C)
-        if not chain.project_word(witness, level, _CHAIN_C).is_identity():
-            return {"counterexample": {"level": level, "word": str(witness)}}
-    return None
+@_prop("chain", "kernel_nesting", 10_000)
+def _(rng, i):
+    level = i % 6
+    w = _chain_word(rng)
+    if rng.random() < 0.5:
+        exps = [rng.randint(level + 1, level + 3) for _ in range(rng.randint(1, 2))]
+        xs = [_chain_word(rng, 2) for _ in exps]
+        w = w * chain.kernel_element(level + 1, exps, xs, _chain_word(rng, 2), _CHAIN_C)
+    coarse, finer = _project(level)(w), _project(level + 1)(w)
+    if _project(level)(finer.to_word()) != coarse:
+        return {"word": str(w), "level": level}
+    if finer.is_identity() and not coarse.is_identity():
+        return {"word": str(w), "level": level, "reason": "kernel not nested"}
 
 
-def _check_strict_chain(rng, count):
+@_prop("chain", "kernel_witnesses", 1_000)
+def _(rng, i):
+    level, k = rng.randint(0, 5), rng.randint(1, 3)
+    exps = [rng.randint(level, level + 3) for _ in range(k)]
+    xs = [_chain_word(rng, 3) for _ in range(k)]
+    witness = chain.kernel_element(level, exps, xs, _chain_word(rng, 3), _CHAIN_C)
+    if not _project(level)(witness).is_identity():
+        return {"level": level, "word": str(witness)}
+
+
+@_prop("chain", "strict_chain", 7, whole=True)
+def _(rng, count):
     for level in range(7):
         wrap = reduce_word([(_CHAIN_C, 1 << level)], _CHAIN_N)
-        if not chain.project_word(wrap, level, _CHAIN_C).is_identity():
-            return {"counterexample": {"level": level, "reason": "wrap not killed at its level"}}
-        above = chain.project_word(wrap, level + 1, _CHAIN_C)
+        if not _project(level)(wrap).is_identity():
+            return {"level": level, "reason": "wrap not killed at its level"}
         identity = chain.QuotientWord.identity(level + 1, _CHAIN_C, _CHAIN_N)
-        if chain.conjugate_in_quotient(above, identity):
-            return {"counterexample": {"level": level, "reason": "wrap dies one level early"}}
-    return None
+        if chain.conjugate_in_quotient(_project(level + 1)(wrap), identity):
+            return {"level": level, "reason": "wrap dies one level early"}
 
 
-def _check_separation_bound(rng, count):
-    done = 0
-    while done < count:
-        a, b = _random_chain_word(rng), _random_chain_word(rng)
+@_prop("chain", "separation_bound", 1_000)
+def _(rng, i):
+    while True:  # a sample is a non-conjugate pair within the exponent budget
+        a, b = _chain_word(rng), _chain_word(rng)
         budget = chain.total_c_exponent(a, _CHAIN_C) + chain.total_c_exponent(b, _CHAIN_C)
-        if budget > 32 or are_conjugate(a, b):
-            continue
-        done += 1
-        bound = 0
-        while (1 << bound) <= 2 * budget:
-            bound += 1
-        level = chain.separation_level(a, b, _CHAIN_C, bound)
-        if level is None:
-            return {"counterexample": {"a": str(a), "b": str(b), "budget": budget, "bound": bound}}
-        if level > 0 and (1 << (level - 1)) > max(2 * budget, 1):
-            return {"counterexample": {"a": str(a), "b": str(b), "level": level, "budget": budget}}
-    return None
+        if budget <= 32 and not are_conjugate(a, b):
+            break
+    bound = (2 * budget).bit_length()  # the least bound with 2^bound > 2 * budget
+    level = chain.separation_level(a, b, _CHAIN_C, bound)
+    if level is None:
+        return {"a": str(a), "b": str(b), "budget": budget, "bound": bound}
+    if level > 0 and (1 << (level - 1)) > max(2 * budget, 1):
+        return {"a": str(a), "b": str(b), "level": level, "budget": budget}
 
 
-def _check_quotient_conjugacy_equivalence(rng, count):
-    for i in range(count):
-        level = i % 7
-        x = chain.project_word(_random_chain_word(rng), level, _CHAIN_C)
-        y = chain.project_word(_random_chain_word(rng), level, _CHAIN_C)
-        if not chain.conjugate_in_quotient(x, x):
-            return {"counterexample": {"x": str(x.to_word()), "level": level, "reason": "not reflexive"}}
-        if chain.conjugate_in_quotient(x, y) != chain.conjugate_in_quotient(y, x):
-            return {"counterexample": {"x": str(x.to_word()), "y": str(y.to_word()),
-                                       "level": level, "reason": "not symmetric"}}
-        g = chain.project_word(_random_chain_word(rng), level, _CHAIN_C)
-        h = chain.project_word(_random_chain_word(rng), level, _CHAIN_C)
-        conj_once = g * x * g.inverse()
-        conj_twice = h * conj_once * h.inverse()
-        if not chain.conjugate_in_quotient(x, conj_twice):
-            return {"counterexample": {"x": str(x.to_word()), "level": level,
-                                       "reason": "not transitive on conjugates"}}
-    return None
+@_prop("chain", "conjugacy_equivalence", 2_000)
+def _(rng, i):
+    level = i % 7
+    project = _project(level)
+    x, y = project(_chain_word(rng)), project(_chain_word(rng))
+    if not chain.conjugate_in_quotient(x, x):
+        return {"x": str(x.to_word()), "level": level, "reason": "not reflexive"}
+    if chain.conjugate_in_quotient(x, y) != chain.conjugate_in_quotient(y, x):
+        return {"x": str(x.to_word()), "y": str(y.to_word()),
+                "level": level, "reason": "not symmetric"}
+    g, h = project(_chain_word(rng)), project(_chain_word(rng))
+    if not chain.conjugate_in_quotient(x, h * (g * x * g.inverse()) * h.inverse()):
+        return {"x": str(x.to_word()), "level": level, "reason": "not transitive on conjugates"}
 
 
 # ---------------------------------------------------------------------------
 # Assembly.
-
-SUITES: list[tuple[str, list[tuple[str, int, CheckFn]]]] = [
-    ("words", [
-        ("reduce_idempotent", 10_000, _check_reduce_idempotent),
-        ("concat_associative", 10_000, _check_concat_associative),
-        ("inverse_cancels", 10_000, _check_inverse_cancels),
-        ("conjugation_invariance", 10_000, _check_conjugation_invariance),
-        ("cyclic_core_minimal", 2_000, _check_cyclic_core_minimal),
-    ]),
-    ("abelian", [
-        ("conjugation_invariant", 10_000, _check_abelianize_conjugation_invariant),
-        ("exponent_vector_homomorphism", 10_000, _check_exponent_vector_homomorphism),
-        ("linear", 10_000, _check_abelianize_linear),
-    ]),
-    ("symplectic", [
-        ("antisymmetry", 10_000, _check_pairing_antisymmetry),
-        ("matrix_route", 10_000, _check_pairing_matrix_route),
-        ("biadditive", 10_000, _check_pairing_biadditive),
-        ("center_criterion", 10_000, _check_center_criterion),
-        ("intersection_splitting", 10_000, _check_intersection_splitting),
-    ]),
-    ("bracket", [
-        ("antisymmetry", 10_000, _check_bracket_antisymmetry),
-        ("jacobi", 1_000, _check_bracket_jacobi),
-        ("matches_intersection_number", 10_000, _check_bracket_matches_intersection),
-        ("center_annihilates", 10_000, _check_bracket_center_annihilates),
-    ]),
-    ("int_ideals", [
-        ("gcd_rule_bracket_closed", 1_000, _check_gcd_rule_bracket_closed),
-        ("table_criterion_matches_bracket", 20, _check_table_criterion_matches_bracket),
-        ("criteria_agree_on_tables", 60, _check_criteria_agree_on_tables),
-        ("family_distinct_ideals", 20, _check_family_distinct_ideals),
-    ]),
-    ("rat_ideals", [
-        ("decomposition_lossless", 10_000, _check_decomposition_lossless),
-        ("label_bracket_identity", 1_000, _check_label_bracket_identity),
-        ("closure_bracket_closed", 100, _check_closure_bracket_closed),
-        ("closure_roundtrip", 500, _check_closure_roundtrip),
-        ("central_closure_has_no_labels", 1_000, _check_central_closure_has_no_labels),
-        ("closed_classification", 200, _check_closed_classification),
-    ]),
-    ("chain", [
-        ("projection_homomorphism", 10_000, _check_projection_homomorphism),
-        ("kernel_nesting", 10_000, _check_kernel_nesting),
-        ("kernel_witnesses", 1_000, _check_kernel_witnesses),
-        ("strict_chain", 7, _check_strict_chain),
-        ("separation_bound", 1_000, _check_separation_bound),
-        ("conjugacy_equivalence", 2_000, _check_quotient_conjugacy_equivalence),
-    ]),
-]
-
-
-def _scaled(base: int, scale: float) -> int:
-    return max(0, int(round(base * scale)))
-
 
 def run_selftest(seed: int, scale: float = 1.0) -> dict:
     """Run every suite; the report is a pure function of (seed, scale)."""
     if not 0 <= scale < math.inf:
         raise ValueError(f"scale must be finite and nonnegative, got {scale}")
     suites = []
-    all_passed = True
-    for suite_name, checks in SUITES:
+    for suite, props in itertools.groupby(PROPERTIES, key=lambda p: p.suite):
         failures = []
         executed = 0
-        for prop_name, base_count, fn in checks:
-            count = _scaled(base_count, scale)
+        for prop in props:
+            count = max(0, int(round(prop.base * scale)))
             if count == 0:
                 continue
-            rng = random.Random(f"{seed}:{suite_name}:{prop_name}")
-            failure = fn(rng, count)
+            rng = random.Random(f"{seed}:{suite}:{prop.name}")
+            if prop.whole:
+                found = prop.check(rng, count)
+            else:
+                for i in range(count):
+                    found = prop.check(rng, i)
+                    if found is not None:
+                        break
             executed += count
-            if failure is not None:
-                failures.append({"property": prop_name, **failure})
-        passed = not failures
-        all_passed = all_passed and passed
+            if found is not None:
+                failures.append({"property": prop.name, "counterexample": found})
         suites.append(
-            {
-                "suite": suite_name,
-                "passed": passed,
-                "samples": executed,
-                "failures": failures,
-            }
+            {"suite": suite, "passed": not failures, "samples": executed, "failures": failures}
         )
+    all_passed = all(s["passed"] for s in suites)
     return {"seed": seed, "scale": scale, "all_passed": all_passed, "suites": suites}

@@ -40,6 +40,7 @@ from goldmanab.rat_ideals import (
     label_bracket_identity_holds,
 )
 from goldmanab.sampling import (
+    random_chain_word,
     random_element,
     random_fraction,
     random_label,
@@ -340,15 +341,8 @@ def test_criterion_09_chain_properties():
         rng = random.Random("acc9")
 
         def chain_word(max_runs=5):
-            raw = []
-            for _ in range(rng.randint(0, max_runs)):
-                gen = rng.randint(1, n)
-                if gen == c and rng.random() < 0.4:
-                    exp = (1 if rng.random() < 0.5 else -1) * (1 << rng.randint(0, 4))
-                else:
-                    exp = rng.choice([-3, -2, -1, 1, 2, 3])
-                raw.append((gen, exp))
-            return reduce_word(raw, n)
+            ordinary = lambda r: r.choice([-3, -2, -1, 1, 2, 3])
+            return random_chain_word(rng, n, c, max_runs, ordinary)
 
         # Homomorphism and kernel nesting across levels 0..6.
         for _ in range(10_000):

@@ -490,6 +490,10 @@ class TestLimits:
         err = assert_input_error(capsys, "ik-family", *argv)
         assert "tuple length must be >= 1" in err
 
+    def test_ik_family_over_the_cap(self, capsys):
+        err = assert_input_error(capsys, "ik-family", "--K0", "[(1,0)]", "--count", "500")
+        assert f"more than the cap of {int_ideals.MAX_FAMILY_TUPLES}" in err
+
     def test_exhaustive_sweep_over_the_cap(self, capsys):
         err = assert_input_error(
             capsys, "ideal-check", "--closed", "2", "--rule", "ik", "--K", "[]",

@@ -293,6 +293,23 @@ class TestFamily:
         with pytest.raises(ValueError, match="tuple length"):
             gcd_submodule_family(k0, count, n=n)
 
+    def test_family_over_the_cap(self):
+        # A family of `count` members over K0 holds count*|K0| + count*(count-1)/2
+        # tuples: 500 members over one tuple hold 125,250.
+        with pytest.raises(ValueError, match=f"125250 exception tuples, more than the cap of "
+                                             f"{int_ideals.MAX_FAMILY_TUPLES}"):
+            gcd_submodule_family({(1, 0)}, 500)
+
+    def test_family_cap_boundary(self):
+        assert 446 * 447 // 2 <= int_ideals.MAX_FAMILY_TUPLES < 447 * 448 // 2
+        assert len(gcd_submodule_family({(1, 0)}, 446)) == 446
+        with pytest.raises(ValueError, match="cap"):
+            gcd_submodule_family({(1, 0)}, 447)
+
+    def test_huge_family_refused_before_any_member(self):
+        with pytest.raises(ValueError, match="cap"):
+            gcd_submodule_family({(1, 0), (0, 1)}, 10**12)
+
     def test_gcd_submodule_needs_positive_length(self):
         for n in (0, -2):
             with pytest.raises(ValueError, match="tuple length"):
