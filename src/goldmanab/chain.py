@@ -7,6 +7,11 @@ c-exponents live in the symmetric residue range (-2^(level-1), 2^(level-1)]
 and no two adjacent letters can merge.  At level 0 the c-factor is trivial
 and every c-letter vanishes.
 
+The quotient is a free product of cyclic groups, one per generator, so a
+normal form is a sequence of letters and conjugacy is decided on letter
+cycles: cyclically reduced elements are conjugate exactly when one is a
+rotation of the other (Lyndon-Schupp IV.1.4).
+
 The projections at successive levels have nested kernels, which realizes a
 strictly descending chain; the separation machinery finds the first level
 at which two non-conjugate words stop being conjugate in the quotient.
@@ -14,20 +19,16 @@ at which two non-conjugate words stop being conjugate in the quotient.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .words import (
     Letter,
     Word,
     _checked_letters,
-    _least_rotation,
+    _is_rotation,
     _Value,
     are_conjugate,
-    reduce_word,
 )
-
-# A c-power exponent, or a maximal block of free-factor letters.
-Syllable = Union[int, tuple[Letter, ...]]
 
 
 def symmetric_residue(exp: int, level: int) -> int:
@@ -105,18 +106,11 @@ def _check_level(level: int) -> None:
 
 
 def _push_quotient(stack: list[Letter], gen: int, exp: int, level: int, c: int) -> None:
+    if stack and stack[-1].gen == gen:
+        exp += stack.pop().exp
     if gen == c:
         exp = symmetric_residue(exp, level)
-    if exp == 0:
-        return
-    if stack and stack[-1].gen == gen:
-        total = stack[-1].exp + exp
-        if gen == c:
-            total = symmetric_residue(total, level)
-        stack.pop()
-        if total:
-            stack.append(Letter(gen, total))
-    else:
+    if exp:
         stack.append(Letter(gen, exp))
 
 
@@ -126,86 +120,59 @@ def project_word(w: Word, level: int, c: int) -> QuotientWord:
     A group homomorphism: every c-exponent is replaced by its symmetric
     residue mod 2^level and the cascade of cancellations is carried out.
 
-    >>> str(project_word(reduce_word([(1, 5)], 2), 1, 1).to_word())
+    >>> str(project_word(Word(2, [(1, 5)]), 1, 1).to_word())
     'a1'
     """
     _check_level(level)
     if not 1 <= c <= w.n:
         raise ValueError(f"distinguished generator {c} out of range 1..{w.n}")
-    stack: list[Letter] = []
-    for let in w.letters:
-        gen, exp = let
-        if (gen == c and symmetric_residue(exp, level) != exp) or (stack and stack[-1].gen == gen):
-            _push_quotient(stack, gen, exp, level, c)
+    letters = w.letters
+    half = (1 << level) >> 1
+    # Letters before the first c-letter outside the residue range are already
+    # in normal form, and so is the whole word when there is no such letter.
+    first = next(
+        (i for i, (gen, exp) in enumerate(letters) if gen == c and not -half < exp <= half), None
+    )
+    if first is None:
+        return QuotientWord._make(level, c, w.n, letters)
+    stack = list(letters[:first])
+    for let in letters[first:]:
+        gen = let[0]  # indexing is faster here than field names
+        if (gen == c and not -half < let[1] <= half) or (stack and stack[-1][0] == gen):
+            _push_quotient(stack, gen, let[1], level, c)
         else:
             # Already in normal form and next to another generator: keep it.
             stack.append(let)
     return QuotientWord._make(level, c, w.n, tuple(stack))
 
 
-def _syllables(q: QuotientWord) -> list[Syllable]:
-    # Alternating c-powers and maximal blocks of free-factor letters.
-    out: list[Syllable] = []
-    block: list[Letter] = []
-    for let in q.letters:
-        if let.gen == q.c:
-            if block:
-                out.append(tuple(block))
-                block = []
-            out.append(let.exp)
-        else:
-            block.append(let)
-    if block:
-        out.append(tuple(block))
-    return out
-
-
-def _merge_syllables(last: Syllable, first: Syllable, level: int, alphabet: int) -> Optional[Syllable]:
-    if isinstance(last, int):
-        return symmetric_residue(last + first, level) or None
-    return reduce_word(last + first, alphabet).letters or None
-
-
-def _cyclic_syllables(q: QuotientWord) -> list[Syllable]:
-    # Conjugate away matching ends until the syllable cycle is reduced; the
-    # cycle alternates, so equal ends are both c-powers or both free blocks.
-    syl = _syllables(q)
-    lo, hi = 0, len(syl)  # the cycle is syl[lo:hi]
-    while hi - lo >= 2 and isinstance(syl[lo], int) == isinstance(syl[hi - 1], int):
-        merged = _merge_syllables(syl[hi - 1], syl[lo], q.level, q.alphabet)
-        hi -= 1
-        if merged is None:
-            lo += 1
-        else:
-            syl[lo] = merged
-    return syl[lo:hi]
-
-
 def conjugate_in_quotient(x: QuotientWord, y: QuotientWord) -> bool:
-    """Conjugacy decision in the free product.
+    """Conjugacy decision in the free product, linear in the number of runs.
 
-    Both sides are cyclically reduced at the syllable level; single-factor
-    elements are compared inside their factor (equal residues for c-powers,
-    free-group conjugacy otherwise) and longer normal forms by the least
-    rotations of their syllable cycles, in time linear in the syllables.
+    Each side is cyclically reduced at the letter level, the way
+    :func:`~goldmanab.words.cyclic_reduce` does it, except that matching
+    c-letters merge to their symmetric residue.  The two letter cycles are
+    then conjugate exactly when one is a rotation of the other; this covers
+    single letters (equal residues, equal free powers) and the identity.
     """
     x._require_compatible(y)
-    sx, sy = _cyclic_syllables(x), _cyclic_syllables(y)
-    if len(sx) <= 1 or len(sy) <= 1:
-        if len(sx) != len(sy):
-            return False
-        if not sx:
-            return True
-        vx, vy = sx[0], sy[0]
-        if isinstance(vx, int) or isinstance(vy, int):
-            return vx == vy
-        return are_conjugate(Word._make(x.alphabet, vx), Word._make(y.alphabet, vy))
-    if len(sx) != len(sy):
-        return False
-    # One order on both kinds: c-powers (int) before free blocks (tuple).
-    keyed_x = [(isinstance(s, tuple), s) for s in sx]
-    keyed_y = [(isinstance(s, tuple), s) for s in sy]
-    return _least_rotation(keyed_x) == _least_rotation(keyed_y)
+    return _is_rotation(_cyclic_core(x), _cyclic_core(y))
+
+
+def _cyclic_core(q: QuotientWord) -> tuple[Letter, ...]:
+    # Conjugate away matching end letters until the letter cycle is reduced.
+    letters = q.letters
+    lo, hi = 0, len(letters)  # the core is letters[lo:hi]
+    while hi - lo >= 2 and letters[lo].gen == letters[hi - 1].gen:
+        gen = letters[lo].gen
+        total = letters[lo].exp + letters[hi - 1].exp
+        if gen == q.c:
+            total = symmetric_residue(total, q.level)
+        lo, hi = lo + 1, hi - 1
+        if total:
+            # The ends merge instead of cancelling: rotate the first letter inward.
+            return letters[lo:hi] + (Letter(gen, total),)
+    return letters[lo:hi]
 
 
 def kernel_element(

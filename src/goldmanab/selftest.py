@@ -51,6 +51,9 @@ CLOSED_2 = SurfaceSignature.closed(2)
 BOUNDARY_12 = SurfaceSignature.with_boundary(1, 2)
 BOUNDARY_13 = SurfaceSignature.with_boundary(1, 3)
 
+MAX_SELFTEST_SAMPLES = 10_000_000
+"""The most samples one ``run_selftest`` may schedule over all properties."""
+
 
 class Property(NamedTuple):
     suite: str
@@ -564,12 +567,15 @@ def run_selftest(seed: int, scale: float = 1.0) -> dict:
     """Run every suite; the report is a pure function of (seed, scale)."""
     if not 0 <= scale < math.inf:
         raise ValueError(f"scale must be finite and nonnegative, got {scale}")
+    # Clamped before rounding, so a huge scale costs no huge (or infinite) count.
+    counts = [round(min(prop.base * scale, MAX_SELFTEST_SAMPLES + 1)) for prop in PROPERTIES]
+    if sum(counts) > MAX_SELFTEST_SAMPLES:
+        raise ValueError(f"scale {scale} schedules over the cap of {MAX_SELFTEST_SAMPLES} samples")
     suites = []
-    for suite, props in itertools.groupby(PROPERTIES, key=lambda p: p.suite):
+    for suite, rows in itertools.groupby(zip(PROPERTIES, counts), key=lambda row: row[0].suite):
         failures = []
         executed = 0
-        for prop in props:
-            count = max(0, int(round(prop.base * scale)))
+        for prop, count in rows:
             if count == 0:
                 continue
             rng = random.Random(f"{seed}:{suite}:{prop.name}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -205,17 +206,27 @@ def _least_rotation(seq: Sequence) -> Sequence:
     return doubled[start:start + n]
 
 
-def _push(stack: list[Letter], gen: int, exp: int) -> None:
-    # Merge with the top of the stack when generators coincide.
-    if exp == 0:
-        return
-    if stack and stack[-1].gen == gen:
-        merged = stack[-1].exp + exp
-        stack.pop()
-        if merged != 0:
-            stack.append(Letter(gen, merged))
-    else:
-        stack.append(Letter(gen, exp))
+_CODE_POINTS = sys.maxunicode + 1
+
+
+def _is_rotation(x: tuple, y: tuple) -> bool:
+    """Whether ``y`` is a rotation of ``x``: equal lengths and ``x`` inside ``y + y``.
+
+    Each distinct (hashable) item becomes one character, so the scan is
+    CPython's ``str`` search, linear on long inputs.  With more distinct
+    items than code points the least rotations are compared instead.
+    """
+    if len(x) != len(y):
+        return False
+    items = dict.fromkeys(x)
+    if len(items) > _CODE_POINTS:
+        return _least_rotation(x) == _least_rotation(y)
+    char = dict(zip(items, map(chr, range(len(items))))).__getitem__
+    try:
+        doubled = "".join(map(char, y)) * 2
+    except KeyError:  # y has an item that x lacks
+        return False
+    return "".join(map(char, x)) in doubled
 
 
 def reduce_word(raw: Iterable[tuple[int, int]], n: int) -> Word:
@@ -235,7 +246,10 @@ def reduce_word(raw: Iterable[tuple[int, int]], n: int) -> Word:
         if not 1 <= gen <= n:
             raise ValueError(f"generator index {gen} out of range 1..{n}")
         _check_integer(exp)
-        _push(stack, gen, exp)
+        if stack and stack[-1].gen == gen:
+            exp += stack.pop().exp
+        if exp:
+            stack.append(Letter(gen, exp))
     return Word._make(n, tuple(stack))
 
 
@@ -243,10 +257,17 @@ def concat(u: Word, v: Word) -> Word:
     """Freely reduced product u·v.  Both words must share an alphabet."""
     if u.n != v.n:
         raise ValueError(f"alphabet mismatch: {u.n} vs {v.n}")
-    stack = list(u.letters)
-    for gen, exp in v.letters:
-        _push(stack, gen, exp)
-    return Word._make(u.n, tuple(stack))
+    left, right = u.letters, v.letters
+    # Only the junction changes: cancel inverse letters across it, then
+    # merge one pair of runs of a shared generator at most.
+    k = 0
+    while k < len(left) and k < len(right) and left[-1 - k] == (right[k].gen, -right[k].exp):
+        k += 1
+    left, right = left[:len(left) - k], right[k:]
+    if left and right and left[-1].gen == right[0].gen:
+        merged = Letter(right[0].gen, left[-1].exp + right[0].exp)
+        return Word._make(u.n, left[:-1] + (merged,) + right[1:])
+    return Word._make(u.n, left + right)
 
 
 def inverse(w: Word) -> Word:
@@ -285,10 +306,14 @@ def conjugacy_canonical(w: Word) -> CyclicWord:
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
-    """Free-group conjugacy test via canonical cyclic forms."""
+    """Free-group conjugacy test, linear in the number of runs.
+
+    Cyclically reduced words are conjugate exactly when their runs are
+    rotations of each other, so the two cores go through one rotation test.
+    """
     if u.n != v.n:
         raise ValueError(f"alphabet mismatch: {u.n} vs {v.n}")
-    return conjugacy_canonical(u) == conjugacy_canonical(v)
+    return _is_rotation(cyclic_reduce(u)[0].letters, cyclic_reduce(v)[0].letters)
 
 
 _TOKEN = re.compile(r"^a(\d+)(?:\^(-?\d+))?$")

@@ -228,18 +228,30 @@ def scan_conjugate_in_quotient(x, y):
     return len(sx) == len(sy) and any(sy == sx[i:] + sx[:i] for i in range(len(sx)))
 
 
+def power_words(max_len):
+    """Words whose exponents are ±2^k (k <= 8) or next to one.
+
+    At levels 0..9 they straddle every residue boundary ±2^(level-1).
+    """
+    exp = st.builds(
+        lambda k, d, sign: sign * ((1 << k) + d),
+        st.integers(0, 8), st.integers(-1, 1), st.sampled_from((1, -1)),
+    )
+    raw = st.lists(st.tuples(st.integers(1, 3), exp), max_size=max_len)
+    return raw.map(lambda r: reduce_word(r, 3))
+
+
+def chain_words(max_len, max_exp):
+    return st.one_of(words(3, max_len=max_len, max_exp=max_exp), power_words(max_len))
+
+
 class TestAgainstLoopOracles:
-    @given(words(3, max_len=10, max_exp=9), st.integers(1, 3), st.integers(0, 6))
+    @given(chain_words(10, 9), st.integers(1, 3), st.integers(0, 9))
     @settings(max_examples=300)
     def test_project_word(self, w, c, level):
         assert project_word(w, level, c).letters == loop_project_word(w, level, c)
 
-    @given(
-        words(3, max_len=10, max_exp=6),
-        words(3, max_len=6, max_exp=6),
-        words(3, max_len=10, max_exp=6),
-        st.integers(0, 6),
-    )
+    @given(chain_words(10, 6), chain_words(6, 6), chain_words(10, 6), st.integers(0, 9))
     @settings(max_examples=300)
     def test_conjugate_in_quotient(self, w, g, v, level):
         x = project_word(w, level, 1)

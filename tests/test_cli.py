@@ -231,6 +231,10 @@ class TestErrorHandling:
             code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--scale", scale)
             assert code == 2 and out == "" and "scale" in err
 
+    def test_selftest_scale_over_the_sample_cap(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--scale", "1e9")
+        assert code == 2 and out == "" and "cap" in err
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "goldmanab", "no-such-command"],

@@ -126,6 +126,19 @@ def test_each_property_is_one_row_and_suites_are_contiguous():
     assert [s["suite"] for s in run_selftest(0, 0)["suites"]] == suites
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e308])
+def test_scale_over_the_sample_cap_runs_nothing(monkeypatch, scale):
+    made = []
+    monkeypatch.setattr(random, "Random", made.append)
+    with pytest.raises(ValueError, match=f"cap of {selftest.MAX_SELFTEST_SAMPLES}"):
+        run_selftest(1, scale)
+    assert made == []
+
+
+def test_sample_cap_admits_the_default_scale():
+    assert sum(p.base for p in selftest.PROPERTIES) <= selftest.MAX_SELFTEST_SAMPLES
+
+
 @pytest.mark.parametrize("name", list(FAULTS))
 def test_fault_report(recorded, name):
     report = fault_report(name)

@@ -8,6 +8,7 @@ from goldmanab.words import (
     CyclicWord,
     Letter,
     Word,
+    _is_rotation,
     _least_rotation,
     are_conjugate,
     concat,
@@ -270,6 +271,78 @@ class TestCyclicReduceOracle:
         for word in (w, g * w * g.inverse()):
             core, conj = cyclic_reduce(word)
             assert (core.letters, conj.letters) == loop_cyclic_reduce(word)
+
+
+def brute_is_rotation(x, y):
+    """Oracle: y equals one of the rotations of x, tried one by one."""
+    return x == y or any(y == x[i:] + x[:i] for i in range(len(x)))
+
+
+class TestIsRotation:
+    @given(st.lists(st.integers(0, 2), max_size=12), st.lists(st.integers(0, 2), max_size=12))
+    def test_matches_brute_force(self, x, y):
+        x, y = tuple(x), tuple(y)
+        assert _is_rotation(x, y) == brute_is_rotation(x, y)
+        assert _is_rotation(x, y[3:] + y[:3]) == brute_is_rotation(x, y)
+
+    def test_periodic_words(self):
+        x = reduce_word([(1, 1), (2, 1)] * 2000 + [(1, 2), (2, 1)], 2).letters
+        y = reduce_word([(1, 1), (2, 1)] * 2000 + [(1, 1), (2, 2)], 2).letters
+        assert not _is_rotation(x, y)
+        assert _is_rotation(x, x[1001:] + x[:1001])
+        assert not _is_rotation(x[:-1], x[1:])
+
+    def test_empty_and_single(self):
+        a, b = Letter(1, 2), Letter(1, -2)
+        assert _is_rotation((), ())
+        assert not _is_rotation((), (a,))
+        assert not _is_rotation((a,), ())
+        assert _is_rotation((a,), (a,))
+        assert not _is_rotation((a,), (b,))
+
+    def test_code_point_fallback(self, monkeypatch):
+        # More distinct items than code points: compare least rotations.
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return _least_rotation(seq)
+
+        monkeypatch.setattr("goldmanab.words._CODE_POINTS", 2)
+        monkeypatch.setattr("goldmanab.words._least_rotation", counted)
+        assert _is_rotation((1, 2, 3), (3, 1, 2))
+        assert not _is_rotation((1, 2, 3), (1, 3, 2))
+        assert len(calls) == 4
+        assert _is_rotation((1, 2, 1), (1, 1, 2))  # two distinct items: no fallback
+        assert len(calls) == 4
+
+
+class TestConjugacyOracle:
+    @given(words(), words(), words(max_len=1))
+    @settings(max_examples=300)
+    def test_matches_canonical_forms(self, u, g, one):
+        empty = Word.identity(u.n)
+        pairs = [
+            (u, g * u * g.inverse()),
+            (one, g * one * g.inverse()),
+            (u, g),
+            (u, u.inverse()),
+            (u, u * one),
+            (u, empty),
+            (empty, empty),
+            (one, u),
+        ]
+        for a, b in pairs:
+            assert are_conjugate(a, b) == (conjugacy_canonical(a) == conjugacy_canonical(b))
+
+
+class TestConcatOracle:
+    @given(words(), words(), st.integers(0, 8))
+    @settings(max_examples=300)
+    def test_matches_reduce_word(self, u, v, k):
+        suffix = inverse(reduce_word(u.letters[max(0, len(u.letters) - k):], u.n))
+        for right in (v, inverse(u), inverse(u) * v, suffix, suffix * v):
+            assert concat(u, right).letters == reduce_word(u.letters + right.letters, u.n).letters
 
 
 class TestGrammar:
