@@ -8,6 +8,12 @@ implemented: the gcd rule with a finite exception set, which is always a
 Lie ideal, and arbitrary finite tables over an exponent box, which may or
 may not be.  The ideal criteria are checked by seeded sampling or
 exhaustively over a box and report the first violating pair found.
+
+A check visits each first point v with its partners, the whole box when
+exhaustive and one drawn w per sample, so what depends on v alone is
+computed once per v.  Sampled coordinates are drawn exactly as
+``Random(seed).randrange(-r, r + 1)`` would draw them, and both sweeps and
+samples are capped at MAX_EXHAUSTIVE_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -16,15 +22,15 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Iterator, Optional
+from operator import add, mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import ModuleElement, Monomial
-from .symplectic import SurfaceSignature, _form
+from .symplectic import SurfaceSignature
 from .words import _check_integer
 
 MAX_EXHAUSTIVE_PAIRS = 10_000_000
-"""The most pairs an exhaustive criterion check may visit, (2r+1)^(2n)."""
+"""The most pairs a criterion check may visit: (2r+1)^(2n) in a sweep, one per sample."""
 
 MAX_TABLE_ENTRIES = 100_000
 """The most entries a table rule may hold, (2r+1)^n."""
@@ -185,11 +191,20 @@ class CheckReport:
         return self.ok
 
 
+def _draws(rng: random.Random, radius: int) -> Iterator[int]:
+    # rng.randrange(-radius, radius + 1), draw for draw: CPython draws
+    # width.bit_length() bits and redraws while the value is >= width.
+    width = 2 * radius + 1
+    bits = map(rng.getrandbits, itertools.repeat(width.bit_length()))
+    return (x - radius for x in bits if x < width)
+
+
 def _pair_stream(
     n: int, radius: int, samples: Optional[int], seed: Optional[int]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # Plain int tuples of length n by construction: the checks need not
-    # validate them again.
+) -> Iterator[tuple[tuple[int, ...], Sequence[tuple[int, ...]]]]:
+    # Each v with its partners: the whole box when exhaustive, one w per
+    # draw when sampled.  Plain int tuples of length n by construction: the
+    # checks need not validate them again.
     if radius < 0:
         raise ValueError(f"box radius must be nonnegative, got {radius}")
     if samples is None:
@@ -200,18 +215,21 @@ def _pair_stream(
                 f"more than the cap of {MAX_EXHAUSTIVE_PAIRS}; sample instead"
             )
         box = list(itertools.product(range(-radius, radius + 1), repeat=n))
-        yield from itertools.product(box, repeat=2)
+        for v in box:
+            yield v, box
         return
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if samples > MAX_EXHAUSTIVE_PAIRS:
+        raise ValueError(
+            f"{samples} samples exceed the cap of {MAX_EXHAUSTIVE_PAIRS} pairs per check"
+        )
     if seed is None:
         raise ValueError("sampled checks require an explicit seed")
-    # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer.
-    draw, stop = random.Random(seed).randrange, radius + 1
+    draws = _draws(random.Random(seed), radius)
     for _ in range(samples):
-        v = tuple([draw(-radius, stop) for _ in range(n)])
-        w = tuple([draw(-radius, stop) for _ in range(n)])
-        yield v, w
+        v = tuple(itertools.islice(draws, n))
+        yield v, (tuple(itertools.islice(draws, n)),)
 
 
 def bracket_closure_check(
@@ -226,44 +244,35 @@ def bracket_closure_check(
     Pairs (v, w) are drawn from the box [-radius, radius]^n (exhaustively
     when ``samples`` is None); pairs whose product leaves the rule's domain
     are skipped and counted.  The first violation is reported.  A negative
-    ``radius`` or ``samples``, or an exhaustive sweep of more than
-    MAX_EXHAUSTIVE_PAIRS pairs, raises ValueError.
+    ``radius`` or ``samples``, or more than MAX_EXHAUSTIVE_PAIRS pairs
+    (exhaustive) or samples, raises ValueError.
+
+    The domain test, the rule and the pairing row of ``v`` are computed
+    once per ``v``; a pair costs its product, one dot product with that
+    row, the lookups and the divisibility test.
     """
-    in_domain, rule, genus = sub.in_domain, sub.min_multiple, sig.genus
+    in_domain, rule, g2 = sub.in_domain, sub.min_multiple, 2 * sig.genus
     checked = skipped = 0
-    for v, w in _pair_stream(sig.n, radius, samples, seed):
-        product = tuple(map(add, v, w))
-        if not (in_domain(v) and in_domain(w) and in_domain(product)):
-            skipped += 1
+    for v, partners in _pair_stream(sig.n, radius, samples, seed):
+        if not in_domain(v):
+            skipped += len(partners)
             continue
-        checked += 1
-        pairing = _form(genus, v, w)
         a_v = rule(v)
-        a_vw = rule(product)
-        if not divides(a_vw, pairing * a_v):
-            return CheckReport(
-                False,
-                {
-                    "v": list(v),
-                    "w": list(w),
-                    "pairing": pairing,
-                    "rule_v": a_v,
-                    "rule_vw": a_vw,
-                },
-                checked,
-                skipped,
-            )
+        # <v, w> = sum_t (v_2t w_2t+1 - v_2t+1 w_2t) = row . w
+        row = [x for t in range(0, g2, 2) for x in (-v[t + 1], v[t])]
+        for w in partners:
+            product = tuple(map(add, v, w))
+            if not (in_domain(w) and in_domain(product)):
+                skipped += 1
+                continue
+            checked += 1
+            pairing = sum(map(mul, row, w))
+            a_vw = rule(product)
+            if not divides(a_vw, pairing * a_v):
+                cx = {"v": list(v), "w": list(w), "pairing": pairing,
+                      "rule_v": a_v, "rule_vw": a_vw}
+                return CheckReport(False, cx, checked, skipped)
     return CheckReport(True, None, checked, skipped)
-
-
-def _paired_gcd(genus: int, k: tuple[int, ...], i: tuple[int, ...]) -> int:
-    # gcd over the symplectic pairs of gcd(k-pair) * gcd(i-pair); 0 when g = 0.
-    factors = []
-    for t in range(genus):
-        gk = math.gcd(k[2 * t], k[2 * t + 1])
-        gi = math.gcd(i[2 * t], i[2 * t + 1])
-        factors.append(gk * gi)
-    return math.gcd(*factors) if factors else 0
 
 
 def gcd_divisibility_check(
@@ -277,31 +286,29 @@ def gcd_divisibility_check(
 
     The same sampling conventions and limits as
     :func:`bracket_closure_check`; no product point is needed, so only
-    pairs outside the domain are skipped.
+    pairs outside the domain are skipped.  The domain test, the rule and
+    the pair gcds of ``k`` are computed once per ``k``.  With genus 0
+    there are no pairs and the factor is gcd() = 0.
     """
-    in_domain, rule, genus = sub.in_domain, sub.min_multiple, sig.genus
+    in_domain, rule, g2 = sub.in_domain, sub.min_multiple, 2 * sig.genus
     checked = skipped = 0
-    for k, i in _pair_stream(sig.n, radius, samples, seed):
-        if not (in_domain(k) and in_domain(i)):
-            skipped += 1
+    for k, partners in _pair_stream(sig.n, radius, samples, seed):
+        if not in_domain(k):
+            skipped += len(partners)
             continue
-        checked += 1
         a_k = rule(k)
-        a_i = rule(i)
-        factor = _paired_gcd(genus, k, i)
-        if not divides(a_k, a_i * factor):
-            return CheckReport(
-                False,
-                {
-                    "k": list(k),
-                    "i": list(i),
-                    "rule_k": a_k,
-                    "rule_i": a_i,
-                    "gcd_factor": factor,
-                },
-                checked,
-                skipped,
-            )
+        k_gcds = list(map(math.gcd, k[0:g2:2], k[1:g2:2]))
+        for i in partners:
+            if not in_domain(i):
+                skipped += 1
+                continue
+            checked += 1
+            a_i = rule(i)
+            factor = math.gcd(*map(mul, k_gcds, map(math.gcd, i[0:g2:2], i[1:g2:2])))
+            if not divides(a_k, a_i * factor):
+                cx = {"k": list(k), "i": list(i), "rule_k": a_k, "rule_i": a_i,
+                      "gcd_factor": factor}
+                return CheckReport(False, cx, checked, skipped)
     return CheckReport(True, None, checked, skipped)
 
 

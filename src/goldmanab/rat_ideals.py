@@ -7,6 +7,11 @@ non-central monomial spreads that monomial over its central-translation
 class.  Ideals are stored as a label set together with a row-reduced
 rational basis of the central part, which makes equality structural and
 membership an exact linear solve.
+
+Decomposition, closure and membership group an element's terms by class
+in one helper; closure and membership build no decomposition objects and
+hash each distinct label once, the trivial label of all one-term classes
+included.
 """
 
 from __future__ import annotations
@@ -119,6 +124,59 @@ class CentralDecomposition:
         return ModuleElement._make("Q", _merge_terms(self.central._terms.items(), parts))
 
 
+def _classes(
+    sig: SurfaceSignature, u: ModuleElement
+) -> tuple[list[tuple[PrimitiveLabel, Monomial, Fraction]], dict[Monomial, Fraction]]:
+    """Group u's terms by central-translation class.
+
+    Returns ``(parts, central)``: one ``(label, base, coeff)`` per class of
+    non-central monomials, in ascending class order, and the central terms.
+    Every one-term class carries the same trivial label object.
+    """
+    if u.ring != "Q":
+        raise ValueError("decomposition is defined on the rational module")
+    terms, g2 = u._terms, 2 * sig.genus
+    # All monomials of an element share one length, so one term tells.
+    mono = next(iter(terms), None)
+    if mono is not None and len(mono) != sig.n:
+        raise ValueError(f"monomial length {len(mono)} != {sig.n} generators of the surface")
+    classes: dict[tuple[int, ...], list[Monomial]] = {}
+    central: dict[Monomial, Fraction] = {}
+    # Sorting the monomials alone compares no coefficients.  Sorted, each
+    # class is sorted and the classes are inserted in ascending order.
+    for mono in sorted(terms):
+        key = mono[:g2]
+        if any(key):
+            classes.setdefault(key, []).append(mono)
+        else:
+            central[mono] = terms[mono]
+    # Every label starts with its base translated to the identity, weight 1.
+    head = (Monomial.identity(sig.n), Fraction(1))
+    trivial = PrimitiveLabel._make((head,))
+    new = tuple.__new__
+    parts = []
+    for base, *rest in classes.values():
+        base_coef = terms[base]
+        if rest:
+            # Translation keeps the order, so the label is canonical as built.
+            label = PrimitiveLabel._make(
+                (head, *((new(Monomial, map(sub, m, base)), terms[m] / base_coef) for m in rest))
+            )
+        else:
+            label = trivial
+        parts.append((label, base, base_coef))
+    return parts, central
+
+
+def _labels(parts: Sequence[tuple[PrimitiveLabel, Monomial, Fraction]]) -> set[PrimitiveLabel]:
+    """The distinct labels of :func:`_classes` parts.
+
+    Deduplicating by identity first hashes the shared trivial label once,
+    not once per one-term class.
+    """
+    return set({id(label): label for label, _, _ in parts}.values())
+
+
 def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecomposition:
     """Split a rational element by central-translation classes of its support.
 
@@ -128,37 +186,10 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
     extracted label canonical and the decomposition exactly reassemblable.
     Classes of central monomials collect into the central remainder.
     """
-    if u.ring != "Q":
-        raise ValueError("decomposition is defined on the rational module")
-    # All monomials of an element share one length, so one term tells.
-    mono = next(iter(u._terms), None)
-    if mono is not None and len(mono) != sig.n:
-        raise ValueError(f"monomial length {len(mono)} != {sig.n} generators of the surface")
-    g2 = 2 * sig.genus
-    classes: dict[tuple[int, ...], list[tuple[Monomial, Fraction]]] = {}
-    central_terms: list[tuple[Monomial, Fraction]] = []
-    for mono, coef in u.terms():
-        key = mono[:g2]
-        if not any(key):
-            central_terms.append((mono, coef))
-        else:
-            classes.setdefault(key, []).append((mono, coef))
-    # Every label starts with its base translated to the identity, weight 1.
-    head = (Monomial.identity(sig.n), Fraction(1))
-    trivial = PrimitiveLabel._make((head,))
-    new = tuple.__new__
-    parts = []
-    for key in sorted(classes):
-        members = classes[key]  # already sorted lexicographically
-        base, base_coef = members[0]
-        if len(members) == 1:
-            label = trivial
-        else:
-            # Translation keeps the order, so the label is canonical as built.
-            rest = ((new(Monomial, map(sub, m, base)), q / base_coef) for m, q in members[1:])
-            label = PrimitiveLabel._make((head, *rest))
-        parts.append(Part(label, base, base_coef))
-    return CentralDecomposition(tuple(parts), ModuleElement._make("Q", dict(central_terms)))
+    parts, central = _classes(sig, u)
+    return CentralDecomposition(
+        tuple(Part(*part) for part in parts), ModuleElement._make("Q", central)
+    )
 
 
 def label_bracket_identity_holds(
@@ -263,37 +294,41 @@ def ideal_closure(
     Every label appearing in a generator's decomposition contributes its
     whole primitive component, and the central remainders span the central
     part; both facts follow from bracketing the generators down to single
-    components.
+    components.  Each generator's classes are grouped once, as
+    :func:`decompose_by_center` groups them, and each distinct label is
+    collected once.
     """
     labels: set[PrimitiveLabel] = set()
     central: list[ModuleElement] = []
     for gen in generators:
-        dec = decompose_by_center(sig, gen)
-        labels.update(part.label for part in dec.parts)
-        if not dec.central.is_zero():
-            central.append(dec.central)
+        parts, rest = _classes(sig, gen)
+        labels |= _labels(parts)
+        if rest:
+            central.append(ModuleElement._make("Q", rest))
     return RationalIdeal(labels, central)
 
 
 def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement) -> bool:
     """Exact membership: labels of all parts present, central part in span.
 
-    An ideal that does not fit the surface raises ValueError.  The monomials
-    of a label, like those of a central row, share one length.  A label
-    starts at the identity, so a non-central monomial in it sorts after all
-    central ones: its last pair is central only if every pair is.
+    The classes of ``u`` are grouped as :func:`decompose_by_center` groups
+    them, and each distinct label is looked up once.  An ideal that does
+    not fit the surface raises ValueError.  The monomials of a label, like
+    those of a central row, share one length.  A label starts at the
+    identity, so a non-central monomial in it sorts after all central
+    ones: its last pair is central only if every pair is.
     """
     probes = [lab.pairs[-1][0] for lab in ideal.labels]
     probes += [next(iter(row._terms)) for row in ideal.central_basis]
     for mono in probes:
         if not is_central(sig, mono):  # raises on a length other than sig.n
             raise ValueError(f"ideal monomial {tuple(mono)} is not central")
-    dec = decompose_by_center(sig, u)
-    if any(part.label not in ideal.labels for part in dec.parts):
+    parts, central = _classes(sig, u)
+    if not _labels(parts) <= ideal.labels:
         return False
     # The stored rows are reduced, each with its lex-least monomial as pivot.
     basis = [(min(row._terms), row._terms) for row in ideal.central_basis]
-    return not _reduce_vector(dec.central._terms, basis)
+    return not _reduce_vector(central, basis)
 
 
 def verify_bracket_closure(

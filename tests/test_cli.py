@@ -505,6 +505,10 @@ class TestLimits:
         )
         assert f"visits {61 ** 8} pairs" in err
 
+    def test_sampled_check_over_the_cap(self, capsys):
+        err = assert_input_error(capsys, *IK_CHECK, "--box", "3", "--samples", "1000000000000")
+        assert f"1000000000000 samples exceed the cap of {int_ideals.MAX_EXHAUSTIVE_PAIRS}" in err
+
     def test_table_over_the_cap(self, capsys):
         err = assert_input_error(
             capsys, "ideal-check", "--closed", "2", "--rule", "table",

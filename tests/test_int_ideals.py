@@ -424,6 +424,36 @@ class TestCriteriaAgainstPairLoop:
         assert report == oracle(sig, other, 2, samples=50, seed=1)
         assert report.skipped == 50
 
+    @pytest.mark.parametrize("check, oracle", CRITERIA)
+    @pytest.mark.parametrize("sig", [TORUS, SurfaceSignature.with_boundary(1, 2),
+                                     SurfaceSignature.with_boundary(0, 3),
+                                     SurfaceSignature.closed(2)])
+    def test_radius_zero(self, check, oracle, sig):
+        # One pair, or one draw of width 1 per exponent, which rejects half
+        # of its random bits.
+        for seed in range(3):
+            sub = _gcd_table(sig.n, 1, seed)
+            assert check(sig, sub, 0, samples=None) == oracle(sig, sub, 0)
+            report = check(sig, sub, 0, samples=25, seed=seed)
+            assert report == oracle(sig, sub, 0, samples=25, seed=seed)
+            assert report.checked + report.skipped == 25
+
+    @pytest.mark.parametrize("check, oracle", CRITERIA)
+    def test_first_violation_after_skips(self, check, oracle):
+        # Sweeps wider than the table skip whole rows of v and single w
+        # before the first violation; its pair and both counts must match.
+        seen = []
+        for sig, table_radius, radius in [(TORUS, 1, 2), (SurfaceSignature.with_boundary(1, 2), 1, 2)]:
+            for seed in (1, 2, 4, 5, 7, 8):
+                sub = _gcd_table(sig.n, table_radius, seed)
+                exhaustive = check(sig, sub, radius, samples=None)
+                assert exhaustive == oracle(sig, sub, radius)
+                sampled = check(sig, sub, radius, samples=400, seed=seed)
+                assert sampled == oracle(sig, sub, radius, samples=400, seed=seed)
+                seen += [exhaustive, sampled]
+        violations = [r for r in seen if not r.ok]
+        assert any(r.skipped and r.checked > 1 for r in violations)
+
     def test_table_domain_is_the_box(self):
         sub = TableSubmodule(2, 2)
         for t in itertools.product(range(-4, 5), repeat=2):
@@ -446,3 +476,42 @@ class TestExhaustiveWorkCap:
         with pytest.raises(ValueError, match="cap"):
             bracket_closure_check(sig, GcdSubmodule(5), 3, samples=None)
         assert bracket_closure_check(sig, GcdSubmodule(5), 30, samples=10, seed=1).ok
+
+
+class TestSampledWorkCap:
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_samples_over_the_cap_are_refused_before_any_draw(self, check, monkeypatch):
+        drawn = []
+
+        class Spy(random.Random):
+            def getrandbits(self, k):
+                drawn.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(int_ideals.random, "Random", Spy)
+        with pytest.raises(ValueError, match=f"10000001 samples exceed the cap of {MAX_EXHAUSTIVE_PAIRS}"):
+            check(TORUS, GcdSubmodule(2), 3, samples=MAX_EXHAUSTIVE_PAIRS + 1, seed=1)
+        with pytest.raises(ValueError, match="cap"):
+            check(TORUS, GcdSubmodule(2), 3, samples=10**12, seed=1)
+        assert drawn == []
+
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_cap_boundary(self, check, monkeypatch):
+        # The cap is read when a check starts, so a small one shows the boundary.
+        monkeypatch.setattr(int_ideals, "MAX_EXHAUSTIVE_PAIRS", 40)
+        report = check(TORUS, GcdSubmodule(2), 3, samples=40, seed=1)
+        assert report.checked + report.skipped == 40
+        with pytest.raises(ValueError, match="41 samples exceed the cap of 40"):
+            check(TORUS, GcdSubmodule(2), 3, samples=41, seed=1)
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 8, 2**31, 2**40])
+    def test_draws_equal_randrange(self, radius):
+        # Width 1 rejects half its draws; widths above 32 bits take several
+        # words.  A Python whose randrange draws differently fails here.
+        ours, reference = random.Random(17), random.Random(17)
+        stream = int_ideals._draws(ours, radius)
+        got = [next(stream) for _ in range(300)]
+        assert got == [reference.randrange(-radius, radius + 1) for _ in range(300)]
+        assert ours.getstate() == reference.getstate()
