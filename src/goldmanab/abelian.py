@@ -146,7 +146,8 @@ class ModuleElement(_Value):
 
     def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms sorted lexicographically by exponent vector."""
-        return sorted(self._terms.items())
+        t = self._terms
+        return [(m, t[m]) for m in sorted(t)]
 
     def coefficient(self, mono: Monomial) -> Coefficient:
         return self._terms.get(mono, Fraction(0) if self.ring == "Q" else 0)

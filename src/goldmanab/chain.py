@@ -15,10 +15,16 @@ rotation of the other (Lyndon-Schupp IV.1.4).
 The projections at successive levels have nested kernels, which realizes a
 strictly descending chain; the separation machinery finds the first level
 at which two non-conjugate words stop being conjugate in the quotient.
+Words conjugate at level L + 1 are conjugate at level L, since
+c^(2^(L+1)) is a power of c^(2^L); so separation is monotone, and
+:func:`separation_level` bisects over levels clamped by the words' own
+c-exponents.  No operation builds 2^level for an exponent shorter than
+``level`` bits, which is its own residue, so a huge level costs nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional
 
 from .words import (
@@ -26,6 +32,7 @@ from .words import (
     Word,
     _checked_letters,
     _is_rotation,
+    _new_letter,
     _Value,
     are_conjugate,
 )
@@ -39,6 +46,8 @@ def symmetric_residue(exp: int, level: int) -> int:
     >>> [symmetric_residue(e, 2) for e in range(-4, 5)]
     [0, 1, 2, -1, 0, 1, 2, -1, 0]
     """
+    if exp.bit_length() < level:  # |exp| < 2^(level-1): already in range
+        return exp
     modulus = 1 << level
     r = exp % modulus
     if r > modulus >> 1:
@@ -127,22 +136,37 @@ def project_word(w: Word, level: int, c: int) -> QuotientWord:
     if not 1 <= c <= w.n:
         raise ValueError(f"distinguished generator {c} out of range 1..{w.n}")
     letters = w.letters
-    half = (1 << level) >> 1
     # Letters before the first c-letter outside the residue range are already
     # in normal form, and so is the whole word when there is no such letter.
-    first = next(
-        (i for i, (gen, exp) in enumerate(letters) if gen == c and not -half < exp <= half), None
-    )
+    first = next((i for i, (gen, exp) in enumerate(letters) if gen == c
+                  and exp.bit_length() >= level and symmetric_residue(exp, level) != exp), None)
     if first is None:
         return QuotientWord._make(level, c, w.n, letters)
+    # The exponent at ``first`` has at least ``level`` bits, so the modulus
+    # is at most twice its size.
+    modulus = 1 << level
+    half = modulus >> 1
     stack = list(letters[:first])
+    push, pop = stack.append, stack.pop
+    top = stack[-1][0] if stack else 0  # generator of the last letter on the stack
     for let in letters[first:]:
-        gen = let[0]  # indexing is faster here than field names
-        if (gen == c and not -half < let[1] <= half) or (stack and stack[-1][0] == gen):
-            _push_quotient(stack, gen, let[1], level, c)
-        else:
+        gen, exp = let
+        if gen == top:
+            exp += pop()[1]
+        elif gen != c or -half < exp <= half:
             # Already in normal form and next to another generator: keep it.
-            stack.append(let)
+            push(let)
+            top = gen
+            continue
+        if gen == c:
+            exp %= modulus
+            if exp > half:
+                exp -= modulus
+        if exp:
+            push(_new_letter((gen, exp)))
+            top = gen
+        else:
+            top = stack[-1][0] if stack else 0
     return QuotientWord._make(level, c, w.n, tuple(stack))
 
 
@@ -213,17 +237,34 @@ def separation_level(a: Word, b: Word, c: int, n_max: int) -> Optional[int]:
     separate them and a ValueError is raised).  Returns None when no level
     up to ``n_max`` separates; a level large enough that 2^(level-1)
     exceeds the total absolute c-exponent of both words always does.
+
+    Separation is monotone in the level, so this bisects over
+    ``[0, min(n_max, S)]``, S being the least level with 2^(S-1) above that
+    total (0 without c-letters).  The top is tested too: a range holding no
+    separating level gives None, even if the bound were to fail.
     """
     if a.n != b.n:
         raise ValueError(f"alphabet mismatch: {a.n} vs {b.n}")
     if are_conjugate(a, b):
         raise ValueError("words are conjugate in the free group; no level separates them")
-    for level in range(n_max + 1):
-        if not conjugate_in_quotient(project_word(a, level, c), project_word(b, level, c)):
-            return level
-    return None
+    budget = total_c_exponent(a, c) + total_c_exponent(b, c)
+    hi = min(operator.index(n_max), budget.bit_length() + 1 if budget else 0)
+
+    def separated(level: int) -> bool:
+        return not conjugate_in_quotient(project_word(a, level, c), project_word(b, level, c))
+
+    if hi < 0 or not separated(hi):
+        return None
+    lo = 0  # levels below lo are not separated; hi is
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if separated(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def total_c_exponent(w: Word, c: int) -> int:
     """Sum of |exp| over the c-letters of a word (the separation budget)."""
-    return sum(abs(let.exp) for let in w.letters if let.gen == c)
+    return sum(abs(exp) for gen, exp in w.letters if gen == c)

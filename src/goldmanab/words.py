@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -65,6 +66,10 @@ class Letter(NamedTuple):
 
     gen: int
     exp: int
+
+
+# Letter from a (gen, exp) pair without the Python-level NamedTuple __new__.
+_new_letter = partial(tuple.__new__, Letter)
 
 
 def _checked_letters(raw: Iterable[tuple[int, int]], n: int) -> tuple[Letter, ...]:
@@ -245,11 +250,12 @@ def reduce_word(raw: Iterable[tuple[int, int]], n: int) -> Word:
     for gen, exp in raw:
         if not 1 <= gen <= n:
             raise ValueError(f"generator index {gen} out of range 1..{n}")
-        _check_integer(exp)
-        if stack and stack[-1].gen == gen:
-            exp += stack.pop().exp
+        if not isinstance(exp, int):
+            _check_integer(exp)
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
         if exp:
-            stack.append(Letter(gen, exp))
+            stack.append(_new_letter((gen, exp)))
     return Word._make(n, tuple(stack))
 
 
@@ -317,6 +323,8 @@ def are_conjugate(u: Word, v: Word) -> bool:
 
 
 _TOKEN = re.compile(r"^a(\d+)(?:\^(-?\d+))?$")
+# Every whole token of a text: a _TOKEN match bounded by whitespace or the ends.
+_TOKENS = re.compile(r"(?<!\S)a(\d+)(?:\^(-?\d+))?(?!\S)")
 
 
 def parse_word(text: str, n: int) -> Word:
@@ -327,15 +335,17 @@ def parse_word(text: str, n: int) -> Word:
     >>> str(parse_word("a1 a2^-3 a1^2", n=2))
     'a1 a2^-3 a1^2'
     """
-    raw: list[tuple[int, int]] = []
-    for token in text.split():
-        m = _TOKEN.match(token)
-        if m is None:
-            raise ValueError(f"malformed word token {token!r}")
-        gen = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
-        raw.append((gen, exp))
-    return reduce_word(raw, n)
+    found = _TOKENS.findall(text)
+    tokens = text.split()
+    if len(found) != len(tokens):
+        # Some token is malformed: name the first one, in token order with
+        # the numbers int() refuses (more digits than its limit).
+        for token in tokens:
+            m = _TOKEN.match(token)
+            if m is None:
+                raise ValueError(f"malformed word token {token!r}")
+            int(m[1]), int(m[2] or 1)
+    return reduce_word([(int(gen), int(exp) if exp else 1) for gen, exp in found], n)
 
 
 def _format_letter(let: Letter) -> str:

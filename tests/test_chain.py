@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from goldmanab.chain import (
@@ -228,6 +229,20 @@ def scan_conjugate_in_quotient(x, y):
     return len(sx) == len(sy) and any(sy == sx[i:] + sx[:i] for i in range(len(sx)))
 
 
+def loop_separation_level(a, b, c, n_max):
+    """Oracle: every level from 0 up, until the projections are not conjugate."""
+    for level in range(n_max + 1):
+        if not conjugate_in_quotient(project_word(a, level, c), project_word(b, level, c)):
+            return level
+    return None
+
+
+def budget_level(a, b, c):
+    """The least level S with 2^(S-1) above both words' total c-exponent."""
+    budget = total_c_exponent(a, c) + total_c_exponent(b, c)
+    return budget.bit_length() + 1 if budget else 0
+
+
 def power_words(max_len):
     """Words whose exponents are ±2^k (k <= 8) or next to one.
 
@@ -258,6 +273,22 @@ class TestAgainstLoopOracles:
         for other in (g * w * g.inverse(), v, w * g, g * w):
             y = project_word(other, level, 1)
             assert conjugate_in_quotient(x, y) == scan_conjugate_in_quotient(x, y)
+
+    @given(
+        chain_words(8, 9), chain_words(8, 9), st.data(),
+        st.integers(0, 5), st.lists(chain_words(3, 4), min_size=1, max_size=2),
+    )
+    @settings(max_examples=300)
+    def test_separation_level(self, w, v, data, level, xs):
+        # A pair that agrees up to ``level`` (w against w times a kernel
+        # element) and a random pair.
+        kern = kernel_element(level, [level + i for i in range(len(xs))], xs, v, 1)
+        for a, b in ((w, w * kern), (w, v)):
+            assume(not are_conjugate(a, b))
+            top = budget_level(a, b, 1)
+            for n_max in (-1, 0, top - 1, top, top + 1, data.draw(st.integers(-1, top + 3))):
+                assert separation_level(a, b, 1, n_max) == loop_separation_level(a, b, 1, n_max)
+            assert separation_level(a, b, 1, 10**18) == separation_level(a, b, 1, top) is not None
 
     def test_long_conjugates(self):
         rng = random.Random(11)
@@ -347,3 +378,32 @@ class TestSeparation:
             while (1 << bound) <= 2 * budget:
                 bound += 1
             assert separation_level(a, b, 1, bound) is not None
+
+
+class TestLevelSize:
+    """Arithmetic at a level far above the words' exponents costs nothing extra."""
+
+    HUGE = 10**12  # 2^HUGE would take about 125 GB as one int
+
+    def test_projection_memory_does_not_grow_with_the_level(self):
+        w = word("a1^3 a2 a1^-5")
+        tracemalloc.start()
+        try:
+            image = project_word(w, 10**8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image.letters == w.letters
+        assert peak < 1 << 20
+
+    def test_huge_level_keeps_the_letters(self):
+        w = word("a1^3 a2 a1^-5 a3")
+        x = project_word(w, self.HUGE, 1)
+        assert x.letters == w.letters
+        assert symmetric_residue(-7, self.HUGE) == -7
+        assert QuotientWord(self.HUGE, 1, 3, w.letters) == x
+        assert (x * x).letters == (w * w).letters
+        assert x.inverse().letters == w.inverse().letters
+        y = project_word(word("a3 a1^3 a2 a1^-5"), self.HUGE, 1)
+        assert conjugate_in_quotient(x, y)
+        assert not conjugate_in_quotient(x, project_word(word("a1^3 a2 a1^-4 a3"), self.HUGE, 1))

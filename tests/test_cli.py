@@ -133,6 +133,11 @@ class TestChainCommands:
         _, out, _ = run_cli(capsys, "chain-project", "--n", "2", "--c", "1", "a1^4")
         assert json.loads(out) == {"word": ""}
 
+    def test_project_at_a_huge_level(self, capsys):
+        code, out, _ = run_cli(capsys, "chain-project", "--n", str(10**12), "--c", "1", "a1^3 a2")
+        assert code == 0
+        assert json.loads(out) == {"word": "a1^3 a2"}
+
     def test_separate_finds_level(self, capsys):
         code, out, _ = run_cli(capsys, "chain-separate", "--c", "1", "--nmax", "12", "a1^4", "")
         assert code == 0

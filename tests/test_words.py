@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from goldmanab.words import (
+    _TOKEN,
     CyclicWord,
     Letter,
     Word,
@@ -358,9 +360,48 @@ class TestGrammar:
             with pytest.raises(ValueError, match="malformed"):
                 parse_word(bad, 3)
 
+    def test_first_fault_in_token_order(self):
+        long = "a1^" + "1" * 5000  # more digits than int() converts
+        with pytest.raises(ValueError, match="malformed word token 'b1'"):
+            parse_word("a1 b1 " + long, 3)
+        with pytest.raises(ValueError, match="digits"):
+            parse_word(long + " b1", 3)
+
     @given(words())
     def test_parse_format_round_trip(self, w):
         assert parse_word(format_word(w), w.n) == w
+
+    @given(st.lists(st.tuples(
+        st.one_of(
+            st.builds(operator.add, st.sampled_from(("a", "")),
+                      st.text(alphabet="a^-0123456789\u0661", max_size=5)),
+            st.builds("a{}^{}".format, st.integers(0, 4), st.integers(-3, 3)),
+        ),
+        st.text(alphabet=" \t\n\x1c\xa0", min_size=1, max_size=2),
+    ), max_size=6), st.text(alphabet=" \t\n\x1c\xa0", max_size=2))
+    @settings(max_examples=500)
+    def test_matches_token_oracle(self, pieces, lead):
+        text = lead + "".join(token + sep for token, sep in pieces)
+        assert outcome(parse_word, text) == outcome(token_parse_word, text)
+
+
+def token_parse_word(text, n):
+    """Oracle: each whitespace-separated token matched on its own."""
+    raw = []
+    for token in text.split():
+        m = _TOKEN.match(token)
+        if m is None:
+            raise ValueError(f"malformed word token {token!r}")
+        raw.append((int(m.group(1)), int(m.group(2)) if m.group(2) is not None else 1))
+    return reduce_word(raw, n)
+
+
+def outcome(parse, text):
+    """The word ``parse`` gives over three generators, or its ValueError message."""
+    try:
+        return parse(text, 3)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestImmutability:
