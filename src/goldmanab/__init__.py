@@ -38,7 +38,6 @@ from .rat_ideals import (
     label_bracket_identity_holds,
 )
 from .symplectic import (
-    PairingMatrix,
     SurfaceSignature,
     center_generators,
     intersection_pairing,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .abelian import Coefficient, ModuleElement, Monomial
-from .symplectic import SurfaceSignature, _require_length, symplectic_product
+from .symplectic import SurfaceSignature, _pairing_row, _require_length
 
 
 def bracket_monomials(
@@ -28,7 +28,9 @@ def bracket_monomials(
     >>> bracket_monomials(sig, Monomial((2, 1)), Monomial((1, 3))).terms()
     [(Monomial((3, 4)), 5)]
     """
-    p = symplectic_product(sig, x, y)
+    _require_length(sig, x)
+    _require_length(sig, y)
+    p = sum(map(mul, _pairing_row(sig.genus, x), y))
     if p == 0:
         return ModuleElement.zero(ring)
     coef: Coefficient = Fraction(p) if ring == "Q" else p
@@ -61,16 +63,14 @@ def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> Module
     _require_length(sig, next(iter(v._terms)))
     xs, du = _numerators(u)
     ys, dv = _numerators(v)
-    # By bilinearity <x, y> = sum_i y_i <x, a_i> = sum_i x_i <a_i, y>: read
-    # one pairing vector off the form per term of the smaller side.  Central
-    # units pair to zero, so the vector covers a_1..a_2g and map() below
-    # stops at its end.
-    units = [Monomial.unit(sig.n, i) for i in range(1, 2 * sig.genus + 1)]
+    # <x, y> = row(x) . y = -row(y) . x: build one pairing row per term of
+    # the smaller side, the sign of a row of v going into its numerator.
+    # A row stops at a_2g, and so does map() below.
     if len(xs) <= len(ys):
-        rows = [([symplectic_product(sig, x, a) for a in units], x, c) for x, c in xs]
+        rows = [(_pairing_row(sig.genus, x), x, c) for x, c in xs]
         cols = ys
     else:
-        rows = [([symplectic_product(sig, a, y) for a in units], y, c) for y, c in ys]
+        rows = [(_pairing_row(sig.genus, y), y, -c) for y, c in ys]
         cols = xs
     acc: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for pairing, x, c in rows:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import chain, int_ideals, rat_ideals, selftest
 from .abelian import ModuleElement, _json_shape, abelianize, exponent_vector
 from .bracket import bracket
-from .symplectic import SurfaceSignature, center_generators, symplectic_product
+from .symplectic import SurfaceSignature, symplectic_product
 from .words import Word, are_conjugate, parse_word
 
 
@@ -97,11 +97,7 @@ def _cmd_pair(args) -> tuple[dict, int]:
 
 def _cmd_center(args) -> tuple[dict, int]:
     sig = _surface(args)
-    gens = []
-    for mono in center_generators(sig):
-        index = next(i + 1 for i, e in enumerate(mono) if e)
-        gens.append(f"a{index}")
-    return {"generators": gens}, 0
+    return {"generators": [f"a{i}" for i in range(2 * sig.genus + 1, sig.n + 1)]}, 0
 
 
 def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodule:

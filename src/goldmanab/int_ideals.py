@@ -26,7 +26,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import ModuleElement, Monomial
-from .symplectic import SurfaceSignature
+from .symplectic import SurfaceSignature, _pairing_row
 from .words import _check_integer
 
 MAX_EXHAUSTIVE_PAIRS = 10_000_000
@@ -251,15 +251,14 @@ def bracket_closure_check(
     once per ``v``; a pair costs its product, one dot product with that
     row, the lookups and the divisibility test.
     """
-    in_domain, rule, g2 = sub.in_domain, sub.min_multiple, 2 * sig.genus
+    in_domain, rule = sub.in_domain, sub.min_multiple
     checked = skipped = 0
     for v, partners in _pair_stream(sig.n, radius, samples, seed):
         if not in_domain(v):
             skipped += len(partners)
             continue
         a_v = rule(v)
-        # <v, w> = sum_t (v_2t w_2t+1 - v_2t+1 w_2t) = row . w
-        row = [x for t in range(0, g2, 2) for x in (-v[t + 1], v[t])]
+        row = _pairing_row(sig.genus, v)
         for w in partners:
             product = tuple(map(add, v, w))
             if not (in_domain(w) and in_domain(product)):

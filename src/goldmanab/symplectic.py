@@ -12,9 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .abelian import Monomial, exponent_vector
-from .words import Word, _Value
+from .words import Word, _check_integer
+
+MAX_RANK = 1_000_000
+"""The largest rank n a surface may have.
+
+Monomials are dense tuples of n integers, so every exponent vector, pairing
+and product costs time and memory in proportion to n.  Without a cap,
+``pair --closed 99999999999 a1 a2`` dies of a MemoryError and genus 10^8
+takes 47 s and 6 GB; at the cap (closed genus 5*10^5) that pairing takes
+0.2 s and 46 MB of peak RSS (Python 3.11, 2-vCPU VM).  The surfaces of the
+tests and the benchmark have n <= 6, far below it.
+"""
 
 
 @dataclass(frozen=True)
@@ -25,6 +37,8 @@ class SurfaceSignature:
     boundary: int = 0
 
     def __post_init__(self):
+        _check_integer(self.genus, "genus")
+        _check_integer(self.boundary, "boundary count")
         if self.boundary < 0:
             raise ValueError("boundary component count must be nonnegative")
         if self.boundary == 0 and self.genus < 1:
@@ -33,6 +47,8 @@ class SurfaceSignature:
             raise ValueError("genus must be nonnegative")
         if self.n < 1:
             raise ValueError("surface must have n >= 1 (the disk is excluded)")
+        if self.n > MAX_RANK:
+            raise ValueError(f"rank n = {self.n} exceeds MAX_RANK = {MAX_RANK}")
 
     @classmethod
     def closed(cls, genus: int) -> "SurfaceSignature":
@@ -54,40 +70,10 @@ class SurfaceSignature:
             return 2 * self.genus
         return 2 * self.genus + self.boundary - 1
 
-    @cached_property
-    def pairing_matrix(self) -> "PairingMatrix":
-        return PairingMatrix.for_signature(self)
-
     def describe(self) -> str:
         if self.is_closed:
             return f"closed genus {self.genus}"
         return f"genus {self.genus} with {self.boundary} boundary components"
-
-
-class PairingMatrix(_Value):
-    """The n x n integer matrix with rows[j-1][i-1] = <a_i, a_j>."""
-
-    __slots__ = ("rows",)
-
-    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
-        return cls._make(rows)
-
-    @classmethod
-    def for_signature(cls, sig: SurfaceSignature) -> "PairingMatrix":
-        n, g = sig.n, sig.genus
-        rows = [[0] * n for _ in range(n)]
-        for t in range(1, g + 1):
-            i, j = 2 * t - 1, 2 * t  # <a_i, a_j> = +1
-            rows[j - 1][i - 1] = 1
-            rows[i - 1][j - 1] = -1
-        return cls(tuple(tuple(r) for r in rows))
-
-    def generator_pairing(self, i: int, j: int) -> int:
-        """<a_i, a_j> for 1-based generator indices."""
-        return self.rows[j - 1][i - 1]
-
-    def __repr__(self) -> str:
-        return f"PairingMatrix({self.rows!r})"
 
 
 def _require_length(sig: SurfaceSignature, x: Monomial) -> None:
@@ -104,19 +90,22 @@ def symplectic_product(sig: SurfaceSignature, x: Monomial, y: Monomial) -> int:
     """
     _require_length(sig, x)
     _require_length(sig, y)
-    return _form(sig.genus, x, y)
+    return sum(map(mul, _pairing_row(sig.genus, x), y))
 
 
-def _form(genus: int, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """symplectic_product for callers that already know both lengths are n."""
-    return sum(x[2 * t] * y[2 * t + 1] - x[2 * t + 1] * y[2 * t] for t in range(genus))
+def _pairing_row(genus: int, x: tuple[int, ...]) -> list[int]:
+    """[<x, a_1>, ..., <x, a_2g>] = [-x_2, x_1, -x_4, x_3, ...]: the form itself.
+
+    <x, y> is this row dotted with y; a_{2g+1}..a_n pair to zero with
+    everything, so the row stops at a_2g.  The length of x is not checked.
+    """
+    return [e for t in range(0, 2 * genus, 2) for e in (-x[t + 1], x[t])]
 
 
 def pairing_vector(sig: SurfaceSignature, x: Monomial) -> tuple[int, ...]:
-    """The matrix product A.X, so that symplectic_product(x, y) = Y . A.X."""
+    """(<x, a_1>, ..., <x, a_n>), so that symplectic_product(x, y) = Y . vector."""
     _require_length(sig, x)
-    rows = sig.pairing_matrix.rows
-    return tuple(sum(row[i] * x[i] for i in range(sig.n)) for row in rows)
+    return (*_pairing_row(sig.genus, x), *(0,) * (sig.n - 2 * sig.genus))
 
 
 def center_generators(sig: SurfaceSignature) -> list[Monomial]:

@@ -7,6 +7,7 @@ import pytest
 from goldmanab import cli, int_ideals
 from goldmanab.cli import main
 from goldmanab.selftest import run_selftest
+from goldmanab.symplectic import MAX_RANK
 
 
 def run_cli(capsys, *argv):
@@ -397,19 +398,21 @@ class TestSelftestCommand:
 class TestInjectedFault:
     def test_flipped_pairing_sign_breaks_jacobi_suite(self, monkeypatch):
         # Mutation check: flip the sign of <a1, a2> inside the bracket's
-        # pairing without flipping its mirror entry.  The form stops being
-        # antisymmetric, so the bracket suites must fail with a
+        # pairing row without flipping its mirror entry.  The form stops
+        # being antisymmetric, so the bracket suites must fail with a
         # counterexample.
         import importlib
 
         bracket_mod = importlib.import_module("goldmanab.bracket")
         from goldmanab import selftest as st_mod
-        from goldmanab.symplectic import symplectic_product as true_product
+        from goldmanab.symplectic import _pairing_row as true_row
 
-        def corrupted(sig, x, y):
-            return true_product(sig, x, y) - 2 * x[0] * y[1]
+        def corrupted(genus, x):
+            row = true_row(genus, x)
+            row[1] -= 2 * x[0]
+            return row
 
-        monkeypatch.setattr(bracket_mod, "symplectic_product", corrupted)
+        monkeypatch.setattr(bracket_mod, "_pairing_row", corrupted)
         report = st_mod.run_selftest(3, scale=0.05)
         assert report["all_passed"] is False
         failing = {
@@ -430,9 +433,11 @@ class TestInjectedFault:
             for f in s["failures"]
         }
         assert found["antisymmetry"] == {
-            "element_0": {"ring": "Z", "terms": [{"exp": [2, 1, 1, -3], "coef": "-1"}]},
-            "element_1": {"ring": "Z", "terms": [{"exp": [3, -5, -3, -5], "coef": "1"}]},
-            "sig": "closed genus 2",
+            "element_0": {"ring": "Q", "terms": [{"exp": [-5, -1], "coef": "-1"},
+                                                 {"exp": [-1, -4], "coef": "-1"}]},
+            "element_1": {"ring": "Q", "terms": [{"exp": [5, -1], "coef": "-1"},
+                                                 {"exp": [5, 3], "coef": "1"}]},
+            "sig": "closed genus 1",
         }
         assert found["matches_intersection_number"] == {
             "word_0": "a1^-1",
@@ -520,3 +525,9 @@ class TestLimits:
             "--table", '{"radius": 12}', "--seed", "1",
         )
         assert f"25^4 entries, more than the cap of {int_ideals.MAX_TABLE_ENTRIES}" in err
+
+    @pytest.mark.parametrize("surface", [
+        ("--closed", "99999999999"), ("--boundary", "0", str(MAX_RANK + 2))])
+    def test_rank_over_the_cap(self, capsys, surface):
+        err = assert_input_error(capsys, "pair", *surface, "a1", "a1")
+        assert f"exceeds MAX_RANK = {MAX_RANK}" in err

@@ -24,7 +24,6 @@ def _values():
         u,
         label,
         RationalIdeal([label], [ModuleElement("Q", [(Monomial((0, 0, 3)), Fraction(1, 3))])]),
-        SIG.pairing_matrix,
     ]
 
 

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from goldmanab.abelian import Monomial
 from goldmanab.symplectic import (
+    MAX_RANK,
     SurfaceSignature,
     center_generators,
     intersection_pairing,
@@ -20,6 +21,7 @@ class TestSignature:
         assert SurfaceSignature.closed(2).n == 4
         assert SurfaceSignature.with_boundary(1, 2).n == 3
         assert SurfaceSignature.with_boundary(0, 2).n == 1
+        assert SurfaceSignature.with_boundary(0, MAX_RANK + 1).n == MAX_RANK
 
     def test_closed_needs_genus(self):
         with pytest.raises(ValueError):
@@ -33,27 +35,16 @@ class TestSignature:
         with pytest.raises(ValueError):
             SurfaceSignature.with_boundary(1, 0)
 
+    @pytest.mark.parametrize("genus, boundary", [(1.5, 1), (1, 1.0), (2.0, 0)])
+    def test_non_integer_counts_refused(self, genus, boundary):
+        with pytest.raises(TypeError, match="not an exact integer"):
+            SurfaceSignature(genus, boundary)
 
-class TestPairingMatrix:
-    def test_torus(self):
-        assert SurfaceSignature.closed(1).pairing_matrix.rows == ((0, -1), (1, 0))
-
-    def test_annulus_like(self):
-        assert SurfaceSignature.with_boundary(0, 2).pairing_matrix.rows == ((0,),)
-
-    def test_boundary_block(self):
-        rows = SurfaceSignature.with_boundary(1, 2).pairing_matrix.rows
-        assert rows == ((0, -1, 0), (1, 0, 0), (0, 0, 0))
-
-    def test_generator_pairing_orientation(self):
-        m = SurfaceSignature.closed(2).pairing_matrix
-        for t in (1, 2):
-            assert m.generator_pairing(2 * t - 1, 2 * t) == 1
-            assert m.generator_pairing(2 * t, 2 * t - 1) == -1
-
-    def test_cached_on_signature(self):
-        sig = SurfaceSignature.closed(1)
-        assert sig.pairing_matrix is sig.pairing_matrix
+    @pytest.mark.parametrize("genus, boundary, n", [
+        (0, MAX_RANK + 2, MAX_RANK + 1), (99_999_999_999, 0, 199_999_999_998)])
+    def test_rank_over_the_cap(self, genus, boundary, n):
+        with pytest.raises(ValueError, match=f"rank n = {n} exceeds MAX_RANK = {MAX_RANK}"):
+            SurfaceSignature(genus, boundary)
 
 
 class TestSymplecticProduct:
@@ -110,6 +101,17 @@ class TestPairingVector:
     def test_boundary_generator_silent(self):
         sig = SurfaceSignature.with_boundary(1, 2)
         assert pairing_vector(sig, Monomial((0, 0, 5))) == (0, 0, 0)
+
+    @pytest.mark.parametrize("sig, vectors", [
+        (SurfaceSignature.closed(1), [(0, 1), (-1, 0)]),
+        (SurfaceSignature.with_boundary(0, 2), [(0,)]),
+        (SurfaceSignature.with_boundary(1, 2), [(0, 1, 0), (-1, 0, 0), (0, 0, 0)]),
+        (SurfaceSignature.closed(2), [(0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)]),
+    ], ids=["torus", "genus0_b2", "genus1_b2", "closed2"])
+    def test_unit_generators(self, sig, vectors):
+        # pairing_vector(a_i)[j - 1] = <a_i, a_j>: +1 from a_2t-1 to a_2t, -1 back.
+        units = [Monomial.unit(sig.n, i) for i in range(1, sig.n + 1)]
+        assert [pairing_vector(sig, a) for a in units] == vectors
 
 
 class TestCenter:
