@@ -4,16 +4,25 @@ A geometric submodule of the integer monomial module is generated by
 integer multiples of monomials, so it is determined by the function
 sending each exponent tuple to the least positive multiplier it admits
 (0 when no multiple lies in the submodule).  Two rule families are
-implemented: the gcd rule with a finite exception set, which is always a
-Lie ideal, and arbitrary finite tables over an exponent box, which may or
-may not be.  The ideal criteria are checked by seeded sampling or
-exhaustively over a box and report the first violating pair found.
+implemented: the gcd rule with a finite exception set, and arbitrary
+finite tables over an exponent box.  A criterion check over a box of
+pairs, exhaustive or seeded-sampled, reports the first violating pair and
+how many pairs it checked and skipped, and it is decided in one of three
+ways:
 
-A check visits each first point v with its partners, the whole box when
-exhaustive and one drawn w per sample, so what depends on v alone is
-computed once per v.  Sampled coordinates are drawn exactly as
-``Random(seed).randrange(-r, r + 1)`` would draw them, and both sweeps and
-samples are capped at MAX_EXHAUSTIVE_PAIRS pairs.
+- for the gcd rule, by the paper's proof that it is always a Lie ideal,
+  so no pair is visited and no generator is made;
+- for an exhaustive bracket-closure check of a table, by a sweep over the
+  partners whose points lie in the table's box, the skipped pairs being
+  counted arithmetically;
+- otherwise, by the pair loop: each first point v with its partners, the
+  whole box when exhaustive and one drawn w per sample, with what depends
+  on v alone computed once per v.
+
+All three give the report the pair loop would give, counts included.
+Sampled coordinates are drawn exactly as ``Random(seed).randrange(-r, r + 1)``
+would draw them.  Every check validates its arguments first, and both
+sweeps and samples are capped at MAX_EXHAUSTIVE_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub as subtract
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import ModuleElement, Monomial
@@ -42,6 +51,11 @@ MAX_FAMILY_TUPLES = 100_000
 def _exponent_tuple(t: Iterable[int]) -> tuple[int, ...]:
     """Outside exponent data as a plain tuple; non-integers raise TypeError."""
     return tuple(Monomial(t))
+
+
+def _box(radius: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The points of [-radius, radius]^n in lexicographic order."""
+    return itertools.product(range(-radius, radius + 1), repeat=n)
 
 
 def divides(d: int, x: int) -> bool:
@@ -75,11 +89,16 @@ class GeometricSubmodule:
 
 
 class GcdSubmodule(GeometricSubmodule):
-    """Rule: 1 on a finite exception set, gcd of the exponent tuple elsewhere.
+    """Rule: 1 on a finite exception set K, gcd of the exponent tuple elsewhere.
 
     The gcd of the all-zero tuple is 0, so the identity monomial has no
     multiple in the submodule unless the zero tuple sits in the exception
     set (in which case the rule value there is 1).
+
+    For every finite K this is a Lie ideal (the paper's Z-module result):
+    both ideal criteria hold on every pair, as :func:`bracket_closure_check`
+    and :func:`gcd_divisibility_check` prove, so they decide this rule
+    without visiting a pair.
     """
 
     __slots__ = ("n", "exceptions")
@@ -152,7 +171,7 @@ class TableSubmodule(GeometricSubmodule):
         self.n = n
         self.radius = radius
         table: dict[tuple[int, ...], int] = {}
-        for t in itertools.product(range(-radius, radius + 1), repeat=n):
+        for t in _box(radius, n):
             table[t] = default
         for t, a in (values or {}).items():
             t = _exponent_tuple(t)
@@ -199,12 +218,11 @@ def _draws(rng: random.Random, radius: int) -> Iterator[int]:
     return (x - radius for x in bits if x < width)
 
 
-def _pair_stream(
-    n: int, radius: int, samples: Optional[int], seed: Optional[int]
-) -> Iterator[tuple[tuple[int, ...], Sequence[tuple[int, ...]]]]:
-    # Each v with its partners: the whole box when exhaustive, one w per
-    # draw when sampled.  Plain int tuples of length n by construction: the
-    # checks need not validate them again.
+def _pair_count(n: int, radius: int, samples: Optional[int], seed: Optional[int]) -> int:
+    # The argument and cap checks of every criterion check, run before any
+    # path does work.  Returns the pairs the check covers: (2r+1)^(2n), or
+    # samples.
+    _check_integer(radius, "box radius")
     if radius < 0:
         raise ValueError(f"box radius must be nonnegative, got {radius}")
     if samples is None:
@@ -214,10 +232,8 @@ def _pair_stream(
                 f"an exhaustive sweep of radius {radius} on n = {n} visits {pairs} pairs, "
                 f"more than the cap of {MAX_EXHAUSTIVE_PAIRS}; sample instead"
             )
-        box = list(itertools.product(range(-radius, radius + 1), repeat=n))
-        for v in box:
-            yield v, box
-        return
+        return pairs
+    _check_integer(samples, "samples")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if samples > MAX_EXHAUSTIVE_PAIRS:
@@ -226,10 +242,41 @@ def _pair_stream(
         )
     if seed is None:
         raise ValueError("sampled checks require an explicit seed")
+    return samples
+
+
+def _box_rank(t: tuple[int, ...], radius: int) -> int:
+    # How many points of the box precede t in its (lexicographic) order.
+    side, rank = 2 * radius + 1, 0
+    for e in t:
+        rank = rank * side + e + radius
+    return rank
+
+
+def _pair_stream(
+    n: int, radius: int, samples: Optional[int], seed: Optional[int]
+) -> Iterator[tuple[tuple[int, ...], Sequence[tuple[int, ...]]]]:
+    # Each v with its partners: the whole box when exhaustive, one w per
+    # draw when sampled.  Plain int tuples of length n by construction: the
+    # checks need not validate them again.  The arguments have passed
+    # _pair_count.
+    if samples is None:
+        box = list(_box(radius, n))
+        for v in box:
+            yield v, box
+        return
     draws = _draws(random.Random(seed), radius)
     for _ in range(samples):
         v = tuple(itertools.islice(draws, n))
         yield v, (tuple(itertools.islice(draws, n)),)
+
+
+def _bracket_violation(
+    v: tuple[int, ...], w: tuple[int, ...], pairing: int, a_v: int, a_vw: int,
+    checked: int, skipped: int,
+) -> CheckReport:
+    cx = {"v": list(v), "w": list(w), "pairing": pairing, "rule_v": a_v, "rule_vw": a_vw}
+    return CheckReport(False, cx, checked, skipped)
 
 
 def bracket_closure_check(
@@ -243,14 +290,31 @@ def bracket_closure_check(
 
     Pairs (v, w) are drawn from the box [-radius, radius]^n (exhaustively
     when ``samples`` is None); pairs whose product leaves the rule's domain
-    are skipped and counted.  The first violation is reported.  A negative
-    ``radius`` or ``samples``, or more than MAX_EXHAUSTIVE_PAIRS pairs
-    (exhaustive) or samples, raises ValueError.
+    are skipped and counted.  The first violation is reported.  A
+    non-integer ``radius`` or ``samples`` raises TypeError; a negative one,
+    or more than MAX_EXHAUSTIVE_PAIRS pairs (exhaustive) or samples, raises
+    ValueError, on every rule and before any work.
 
-    The domain test, the rule and the pairing row of ``v`` are computed
-    once per ``v``; a pair costs its product, one dot product with that
-    row, the lookups and the divisibility test.
+    The gcd rule is decided without a sweep, by this proof: if v+w is in K
+    the rule there is 1.  Otherwise <v,w> = <v, v+w>, because <v,v> = 0,
+    and that is an integer combination of the coordinates of v+w, so
+    gcd(v+w) divides it.  At v+w = 0 both sides are 0.
+
+    An exhaustive table check visits only the partners w with w and v+w in
+    the table's box, a product of per-coordinate ranges, and counts the
+    others as skipped.  Elsewhere the domain test, the rule and the pairing
+    row of ``v`` are computed once per ``v``; a pair costs its product, one
+    dot product with that row, the lookups and the divisibility test.
     """
+    pairs = _pair_count(sig.n, radius, samples, seed)
+    exact = type(sub) is GcdSubmodule or (samples is None and type(sub) is TableSubmodule)
+    if exact and sub.n != sig.n:
+        # The rule's domain is the tuples of length sub.n: no pair lies in it.
+        return CheckReport(True, None, 0, pairs)
+    if type(sub) is GcdSubmodule:
+        return CheckReport(True, None, pairs, 0)
+    if exact:
+        return _table_bracket_sweep(sig, sub, radius)
     in_domain, rule = sub.in_domain, sub.min_multiple
     checked = skipped = 0
     for v, partners in _pair_stream(sig.n, radius, samples, seed):
@@ -268,9 +332,36 @@ def bracket_closure_check(
             pairing = sum(map(mul, row, w))
             a_vw = rule(product)
             if not divides(a_vw, pairing * a_v):
-                cx = {"v": list(v), "w": list(w), "pairing": pairing,
-                      "rule_v": a_v, "rule_vw": a_vw}
-                return CheckReport(False, cx, checked, skipped)
+                return _bracket_violation(v, w, pairing, a_v, a_vw, checked, skipped)
+    return CheckReport(True, None, checked, skipped)
+
+
+def _table_bracket_sweep(sig: SurfaceSignature, sub: TableSubmodule, radius: int) -> CheckReport:
+    # The pair loop's report for an exhaustive sweep of a table.  The loop
+    # skips every pair of a v outside the table box, and the partners w of
+    # an in-box v with w or u = v+w outside it; the others form a box of u,
+    # visited in the loop's order.  <v,w> = <v,u> costs one dot product with
+    # v's row, and a violation at u is counted by the rank of w.
+    values, big, r = sub.values, sub.radius, min(radius, sub.radius)
+    box_size = (2 * radius + 1) ** sig.n
+    checked = skipped = 0
+    for v in _box(radius, sig.n):
+        a_v = values.get(v)
+        if a_v is None:
+            skipped += box_size
+            continue
+        row = _pairing_row(sig.genus, v)
+        ranges = [range(max(e - r, -big), min(e + r, big) + 1) for e in v]
+        for j, u in enumerate(itertools.product(*ranges)):
+            pairing = sum(map(mul, row, u))
+            a_u = values[u]
+            if not divides(a_u, pairing * a_v):
+                w = tuple(map(subtract, u, v))
+                return _bracket_violation(v, w, pairing, a_v, a_u, checked + j + 1,
+                                          skipped + _box_rank(w, radius) - j)
+        partners = math.prod(map(len, ranges))
+        checked += partners
+        skipped += box_size - partners
     return CheckReport(True, None, checked, skipped)
 
 
@@ -283,12 +374,26 @@ def gcd_divisibility_check(
 ) -> CheckReport:
     """Check rule(k) | rule(i) * gcd_t(gcd(k-pair_t) * gcd(i-pair_t)).
 
-    The same sampling conventions and limits as
+    The same sampling conventions, argument checks and limits as
     :func:`bracket_closure_check`; no product point is needed, so only
-    pairs outside the domain are skipped.  The domain test, the rule and
-    the pair gcds of ``k`` are computed once per ``k``.  With genus 0
-    there are no pairs and the factor is gcd() = 0.
+    pairs outside the domain are skipped.  With genus 0 there are no pairs
+    and the factor is gcd() = 0.
+
+    The gcd rule is decided without a sweep, by this proof: if k is in K
+    the rule there is 1.  Otherwise gcd(k) divides every
+    gcd(k_{2t-1}, k_{2t}), so it divides each product and the factor.  At
+    genus 0 and at k = 0 both sides are 0.
+
+    Other rules go through the pair loop, with the domain test, the rule
+    and the pair gcds of ``k`` computed once per ``k``.
     """
+    pairs = _pair_count(sig.n, radius, samples, seed)
+    if type(sub) is GcdSubmodule:
+        # The rule's domain is the tuples of length sub.n: every pair lies
+        # in it, or none does.
+        if sub.n != sig.n:
+            return CheckReport(True, None, 0, pairs)
+        return CheckReport(True, None, pairs, 0)
     in_domain, rule, g2 = sub.in_domain, sub.min_multiple, 2 * sig.genus
     checked = skipped = 0
     for k, partners in _pair_stream(sig.n, radius, samples, seed):
@@ -311,11 +416,15 @@ def gcd_divisibility_check(
     return CheckReport(True, None, checked, skipped)
 
 
+
 def _eligible_tuples(n: int, excluded: frozenset[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     # Tuples ordered by (max |entry|, then lexicographic), gcd > 1 only.
-    radius = 1
+    # The scan starts at the shell of radius 2: every tuple of the radius-1
+    # shell has an entry of +-1, so its gcd is 1, and scanning its 3^n
+    # tuples would cost time and add nothing.
+    radius = 2
     while True:
-        for t in itertools.product(range(-radius, radius + 1), repeat=n):
+        for t in _box(radius, n):
             if max(map(abs, t)) != radius:
                 continue
             if math.gcd(*t) > 1 and t not in excluded:

@@ -508,6 +508,19 @@ class TestLimits:
         err = assert_input_error(capsys, "ik-family", "--K0", "[(1,0)]", "--count", "500")
         assert f"more than the cap of {int_ideals.MAX_FAMILY_TUPLES}" in err
 
+    def test_ik_family_of_long_tuples_returns_at_once(self):
+        # No tuple of the radius-1 shell (3^40 of them) has a gcd above 1.
+        k0 = "[(" + ",".join(["1"] + ["0"] * 39) + ")]"
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldmanab", "ik-family", "--K0", k0, "--count", "3"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        base, added = [1] + [0] * 39, [[-2] * 40, [-2] * 39 + [0]]
+        assert json.loads(proc.stdout) == {
+            "submodules": [{"K": sorted([base, *added[:j]])} for j in range(3)]
+        }
+
     def test_exhaustive_sweep_over_the_cap(self, capsys):
         err = assert_input_error(
             capsys, "ideal-check", "--closed", "2", "--rule", "ik", "--K", "[]",

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -185,6 +188,24 @@ class TestBracketClosureCheck:
         assert report.ok and report.checked == report.skipped == 0
 
 
+class TestArgumentTypes:
+    # One argument check serves every path: the gcd-rule proof, the table
+    # sweep and the pair loop.
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    @pytest.mark.parametrize("sub", [GcdSubmodule(2), TableSubmodule(2, 2)], ids=["gcd", "table"])
+    @pytest.mark.parametrize("samples", [None, 10])
+    @pytest.mark.parametrize("radius", [1.5, 2.0])
+    def test_float_radius_refused(self, check, sub, samples, radius):
+        with pytest.raises(TypeError, match="exact integer"):
+            check(TORUS, sub, radius, samples=samples, seed=1)
+
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    @pytest.mark.parametrize("sub", [GcdSubmodule(2), TableSubmodule(2, 2)], ids=["gcd", "table"])
+    def test_float_samples_refused(self, check, sub):
+        with pytest.raises(TypeError, match="exact integer"):
+            check(TORUS, sub, 2, samples=10.0, seed=1)
+
+
 class TestGcdDivisibilityCheck:
     def test_pure_gcd_rule_passes(self):
         report = gcd_divisibility_check(TORUS, GcdSubmodule(2), 6, samples=400, seed=5)
@@ -310,10 +331,40 @@ class TestFamily:
         with pytest.raises(ValueError, match="cap"):
             gcd_submodule_family({(1, 0), (0, 1)}, 10**12)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_enumeration_equals_the_scan_from_radius_one(self, n):
+        k0 = {(1,) + (0,) * (n - 1), (2,) * n}
+        family = gcd_submodule_family(k0, 12, n)
+        stream, expected = _eligible_from_radius_one(n, frozenset(k0)), [frozenset(k0)]
+        for _ in range(11):
+            expected.append(expected[-1] | {next(stream)})
+        assert [sub.exceptions for sub in family] == expected
+
+    def test_long_tuples_return_at_once(self):
+        # The radius-1 shell holds 3^40 tuples, none of them eligible.
+        script = ("import json\n"
+                  "from goldmanab.int_ideals import gcd_submodule_family as f\n"
+                  "print(json.dumps([sorted(s.exceptions) for s in f([(1,) + (0,) * 39], 3)]))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        base, added = [1] + [0] * 39, [[-2] * 40, [-2] * 39 + [0]]
+        assert json.loads(proc.stdout) == [sorted([base, *added[:j]]) for j in range(3)]
+
     def test_gcd_submodule_needs_positive_length(self):
         for n in (0, -2):
             with pytest.raises(ValueError, match="tuple length"):
                 GcdSubmodule(n)
+
+
+def _eligible_from_radius_one(n, excluded):
+    """The family's tuple order, scanned from the shell of radius 1 up."""
+    radius = 1
+    while True:
+        for t in itertools.product(range(-radius, radius + 1), repeat=n):
+            if max(map(abs, t)) == radius and math.gcd(*t) > 1 and t not in excluded:
+                yield t
+        radius += 1
 
 
 def _oracle_pairs(n, radius, samples, seed):
@@ -460,6 +511,146 @@ class TestCriteriaAgainstPairLoop:
             assert sub.in_domain(Monomial(t)) == (max(map(abs, t)) <= 2)
         assert not sub.in_domain(Monomial((0, 0, 0)))
         assert not sub.in_domain(Monomial((1,)))
+
+
+ORACLE_SURFACES = [TORUS, SurfaceSignature.with_boundary(0, 3),
+                   SurfaceSignature.with_boundary(1, 2), SurfaceSignature.closed(2)]
+
+
+def _sweep_radius(n, radius):
+    """radius, lowered so that an exhaustive oracle visits at most 6561 pairs."""
+    return min(radius, 2 if n <= 2 else 1)
+
+
+@st.composite
+def _rule_lengths(draw, sig):
+    # Mostly the surface's rank; sometimes one more or one less, where the
+    # rule's domain holds no point of the sweep.
+    return max(1, sig.n + draw(st.sampled_from([0, 0, 0, 1, -1])))
+
+
+@st.composite
+def gcd_rule_cases(draw):
+    sig = draw(st.sampled_from(ORACLE_SURFACES))
+    n = draw(_rule_lengths(sig))
+    exceptions = draw(st.sets(st.tuples(*[st.integers(-3, 3)] * n), max_size=4))
+    if draw(st.booleans()):
+        exceptions.add((0,) * n)
+    return sig, GcdSubmodule(n, exceptions)
+
+
+@st.composite
+def table_cases(draw):
+    sig = draw(st.sampled_from(ORACLE_SURFACES))
+    n = draw(_rule_lengths(sig))
+    table_radius = draw(st.integers(0, 2 if n <= 3 else 1))
+    box = list(itertools.product(range(-table_radius, table_radius + 1), repeat=n))
+    values = {t: math.gcd(*t) for t in box}
+    # The gcd rule on its box is an ideal; changed values may break it.
+    for index, value in draw(st.lists(st.tuples(st.integers(0, len(box) - 1),
+                                                st.integers(0, 3)), max_size=3)):
+        values[box[index]] = value
+    return sig, TableSubmodule(n, table_radius, values)
+
+
+def _refuse_generators(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a gcd-rule check needs no random generator")
+
+    monkeypatch.setattr(int_ideals.random, "Random", refuse)
+
+
+class _Swept(GcdSubmodule):
+    """The gcd rule, which the criterion checks sweep pair by pair."""
+
+
+class TestGcdRuleProof:
+    @settings(max_examples=200, deadline=None)
+    @given(gcd_rule_cases(), st.integers(0, 10), st.one_of(st.none(), st.integers(0, 400)),
+           st.integers(0, 2**32 - 1))
+    def test_reports_equal_the_pair_loop(self, case, radius, samples, seed):
+        sig, sub = case
+        if samples is None:
+            radius = _sweep_radius(sig.n, radius)
+        for check, oracle in CRITERIA:
+            report = check(sig, sub, radius, samples, seed)
+            assert report == oracle(sig, sub, radius, samples, seed)
+
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_no_generator_is_made(self, check, monkeypatch):
+        _refuse_generators(monkeypatch)
+        sub = GcdSubmodule(2, {(1, 0), (0, 0)})
+        assert check(TORUS, sub, 10, samples=500, seed=3) == CheckReport(True, None, 500, 0)
+        assert check(TORUS, sub, 3, samples=None) == CheckReport(True, None, 7 ** 4, 0)
+        other = GcdSubmodule(3)
+        assert check(TORUS, other, 10, samples=500, seed=3) == CheckReport(True, None, 0, 500)
+        assert check(TORUS, other, 3, samples=None) == CheckReport(True, None, 0, 7 ** 4)
+
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_argument_checks_run_first(self, check, monkeypatch):
+        _refuse_generators(monkeypatch)
+        sig, sub = SurfaceSignature.closed(2), GcdSubmodule(4)
+        with pytest.raises(ValueError, match=f"{61 ** 8} pairs"):
+            check(sig, sub, 30, samples=None)
+        with pytest.raises(ValueError, match="samples exceed the cap"):
+            check(sig, sub, 3, samples=MAX_EXHAUSTIVE_PAIRS + 1, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            check(sig, sub, 3, samples=10)
+        with pytest.raises(ValueError, match="samples"):
+            check(sig, sub, 3, samples=-1, seed=1)
+        with pytest.raises(ValueError, match="radius"):
+            check(sig, sub, -1, samples=None)
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_random_exception_sets_hold_pair_by_pair(self, genus):
+        # The scale of acceptance criterion 3, whose gcd rules the checks
+        # now decide by proof: 20 random exception sets, 10,000 sampled
+        # pairs at radius 10 each, swept pair by pair for both criteria.
+        sig = SurfaceSignature.closed(genus)
+        rng = random.Random(f"pairs:{genus}")
+        for _ in range(20):
+            exceptions = {tuple(rng.randint(-10, 10) for _ in range(sig.n))
+                          for _ in range(rng.randint(0, 4))}
+            seed = rng.randint(0, 2**32)
+            for check, _ in CRITERIA:
+                swept = check(sig, _Swept(sig.n, exceptions), 10, 10_000, seed)
+                assert swept == CheckReport(True, None, 10_000, 0)
+                assert check(sig, GcdSubmodule(sig.n, exceptions), 10, 10_000, seed) == swept
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_families_hold_pair_by_pair(self, genus):
+        # The scale of acceptance criterion 5: six families of five members,
+        # 2,000 sampled pairs at radius 8 per member and criterion.
+        sig = SurfaceSignature.closed(genus)
+        rng = random.Random(f"families:{genus}")
+        for _ in range(6):
+            k0 = {tuple(rng.randint(-5, 5) for _ in range(sig.n))
+                  for _ in range(rng.randint(1, 3))}
+            for sub in gcd_submodule_family(k0, 5):
+                seed = rng.randint(0, 2**32)
+                for check, _ in CRITERIA:
+                    swept = check(sig, _Swept(sub.n, sub.exceptions), 8, 2_000, seed)
+                    assert swept == CheckReport(True, None, 2_000, 0)
+
+    def test_subclass_still_sweeps(self):
+        class Perturbed(GcdSubmodule):
+            def min_multiple(self, x):
+                return 3 if x == (1, 1) else super().min_multiple(x)
+
+        sub = Perturbed(2)
+        for check, oracle in CRITERIA:
+            report = check(TORUS, sub, 2, samples=None)
+            assert not report.ok and report == oracle(TORUS, sub, 2)
+
+
+class TestTableSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(table_cases(), st.integers(0, 2))
+    def test_reports_equal_the_pair_loop(self, case, radius):
+        sig, sub = case
+        radius = _sweep_radius(sig.n, radius)
+        for check, oracle in CRITERIA:
+            assert check(sig, sub, radius, samples=None) == oracle(sig, sub, radius)
 
 
 class TestExhaustiveWorkCap:

@@ -119,11 +119,12 @@ def test_rng_end_states(recorded, seed, scale):
 
 
 def test_one_generator_per_property_plus_criterion_seeds(recorded):
-    # At scale 0.05 strict_chain has no samples; family_distinct_ideals runs
-    # one sample whose four criterion checks each seed their own generator.
+    # At scale 0.05 strict_chain has no samples, so 32 of the 33 properties
+    # make one generator each; the gcd-rule criterion checks of
+    # family_distinct_ideals are decided by proof and seed none.
     seeds = [x for x, _ in recorded["rng_states"]["42:0.05"]]
-    assert len(seeds) == 36
-    assert sum(isinstance(x, str) for x in seeds) == 32
+    assert len(seeds) == 32
+    assert all(isinstance(x, str) for x in seeds)
 
 
 def test_each_property_is_one_row_and_suites_are_contiguous():
