@@ -3,7 +3,10 @@
 
 For each pair the theory predicts separation once 2^(level-1) exceeds the
 total absolute exponent of the distinguished generator in both words; the
-sweep tabulates how tight that bound is in practice.
+sweep tabulates how tight that bound is in practice.  It also checks the
+proved bound T = m.bit_length() + 1 (0 when m = 0), m being the largest
+absolute c-exponent in the two cyclic cores, and exits 1 with
+BOUND VIOLATED when a pair separates above either bound.
 """
 
 import argparse
@@ -13,7 +16,7 @@ from collections import Counter
 
 from goldmanab.chain import separation_level, total_c_exponent
 from goldmanab.sampling import random_chain_word
-from goldmanab.words import are_conjugate
+from goldmanab.words import are_conjugate, cyclic_reduce
 
 
 def ordinary_exponent(rng):
@@ -43,8 +46,11 @@ def main() -> int:
         while (1 << bound) <= 2 * budget:
             bound += 1
         level = separation_level(a, b, args.c, bound)
-        if level is None:
-            print(f"BOUND VIOLATED: a={a} b={b} budget={budget}")
+        m = max((abs(exp) for w in (a, b) for gen, exp in cyclic_reduce(w)[0].letters
+                 if gen == args.c), default=0)
+        core_bound = m.bit_length() + 1 if m else 0
+        if level is None or level > core_bound:
+            print(f"BOUND VIOLATED: a={a} b={b} budget={budget} core bound={core_bound}")
             return 1
         slack[bound - level] += 1
 

@@ -17,13 +17,16 @@ strictly descending chain; the separation machinery finds the first level
 at which two non-conjugate words stop being conjugate in the quotient.
 Words conjugate at level L + 1 are conjugate at level L, since
 c^(2^(L+1)) is a power of c^(2^L); so separation is monotone, and
-:func:`separation_level` bisects over levels clamped by the words' own
-c-exponents.  No operation builds 2^level for an exponent shorter than
-``level`` bits, which is its own residue, so a huge level costs nothing.
+:func:`separation_level` bisects over ``[0, min(nmax, T)]``, T being one
+bit past the largest |c-exponent| of the words' cyclic cores, where each
+of those exponents is its own residue.  No operation builds 2^level for an
+exponent shorter than ``level`` bits, which is its own residue, so a huge
+level costs nothing.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 from typing import Iterable, Optional
 
@@ -34,7 +37,9 @@ from .words import (
     _is_rotation,
     _new_letter,
     _Value,
-    are_conjugate,
+    concat,
+    cyclic_reduce,
+    inverse,
 )
 
 
@@ -59,7 +64,8 @@ class QuotientWord(_Value):
     """Normal-form element of the level quotient.
 
     Immutable; built with :func:`project_word` or by multiplying existing
-    elements.
+    elements.  Products and inverses project free-group ones, so
+    :func:`project_word` writes every normal form.
     """
 
     __slots__ = ("level", "c", "alphabet", "letters")
@@ -87,40 +93,22 @@ class QuotientWord(_Value):
 
     def __mul__(self, other: "QuotientWord") -> "QuotientWord":
         self._require_compatible(other)
-        stack = list(self.letters)
-        for gen, exp in other.letters:
-            _push_quotient(stack, gen, exp, self.level, self.c)
-        return QuotientWord._make(self.level, self.c, self.alphabet, tuple(stack))
+        return project_word(concat(self.to_word(), other.to_word()), self.level, self.c)
 
     def inverse(self) -> "QuotientWord":
-        stack: list[Letter] = []
-        for gen, exp in reversed(self.letters):
-            _push_quotient(stack, gen, -exp, self.level, self.c)
-        return QuotientWord._make(self.level, self.c, self.alphabet, tuple(stack))
+        return project_word(inverse(self.to_word()), self.level, self.c)
 
     def to_word(self) -> Word:
         """The normal form read back as a plain free-group word."""
         return Word._make(self.alphabet, self.letters)
 
     def __repr__(self) -> str:
-        return (
-            f"QuotientWord(level={self.level}, c={self.c}, "
-            f"word={str(self.to_word())!r})"
-        )
+        return f"QuotientWord(level={self.level}, c={self.c}, word={str(self.to_word())!r})"
 
 
 def _check_level(level: int) -> None:
     if level < 0:
         raise ValueError("level must be nonnegative")
-
-
-def _push_quotient(stack: list[Letter], gen: int, exp: int, level: int, c: int) -> None:
-    if stack and stack[-1].gen == gen:
-        exp += stack.pop().exp
-    if gen == c:
-        exp = symmetric_residue(exp, level)
-    if exp:
-        stack.append(Letter(gen, exp))
 
 
 def project_word(w: Word, level: int, c: int) -> QuotientWord:
@@ -233,38 +221,39 @@ def kernel_element(
 def separation_level(a: Word, b: Word, c: int, n_max: int) -> Optional[int]:
     """Least level where the projections of two words stop being conjugate.
 
-    The inputs must not be conjugate in the free group (then no level can
-    separate them and a ValueError is raised).  Returns None when no level
-    up to ``n_max`` separates; a level large enough that 2^(level-1)
-    exceeds the total absolute c-exponent of both words always does.
+    The words must not be conjugate in the free group (ValueError: no level
+    separates them).  Returns None when no level up to ``n_max`` does.
 
-    Separation is monotone in the level, so this bisects over
-    ``[0, min(n_max, S)]``, S being the least level with 2^(S-1) above that
-    total (0 without c-letters).  The top is tested too: a range holding no
-    separating level gives None, even if the bound were to fail.
+    Projection is a homomorphism and separation is monotone in the level,
+    so this bisects on the cyclic cores over ``[0, min(n_max, T)]``, m being
+    the largest |c-exponent| in the cores and T = m.bit_length() + 1 (0 when
+    m = 0).  T separates: there each core c-exponent is its own residue, so
+    projection and the letter-cycle reduction (a core's ends have distinct
+    generators) keep both cores, and the rotation test is free conjugacy,
+    which said no.  No core exponent exceeds its word's
+    :func:`total_c_exponent`, so T is at most the level whose half-modulus
+    passes both totals.  The top is tested too, for ``n_max < T``.
+
+    >>> from goldmanab.words import parse_word
+    >>> separation_level(parse_word("a1 a2", 2), parse_word("a1^-1 a2", 2), 1, 99)
+    2
     """
     if a.n != b.n:
         raise ValueError(f"alphabet mismatch: {a.n} vs {b.n}")
-    if are_conjugate(a, b):
+    a, b = cyclic_reduce(a)[0], cyclic_reduce(b)[0]
+    if _is_rotation(a.letters, b.letters):
         raise ValueError("words are conjugate in the free group; no level separates them")
-    budget = total_c_exponent(a, c) + total_c_exponent(b, c)
-    hi = min(operator.index(n_max), budget.bit_length() + 1 if budget else 0)
+    m = max((abs(exp) for w in (a, b) for gen, exp in w.letters if gen == c), default=0)
+    hi = min(operator.index(n_max), m.bit_length() + 1 if m else 0)
 
     def separated(level: int) -> bool:
         return not conjugate_in_quotient(project_word(a, level, c), project_word(b, level, c))
 
     if hi < 0 or not separated(hi):
         return None
-    lo = 0  # levels below lo are not separated; hi is
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if separated(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    return bisect.bisect_left(range(hi), True, key=separated)  # hi when no lower level separates
 
 
 def total_c_exponent(w: Word, c: int) -> int:
-    """Sum of |exp| over the c-letters of a word (the separation budget)."""
+    """Sum of |exp| over the c-letters of a word."""
     return sum(abs(exp) for gen, exp in w.letters if gen == c)

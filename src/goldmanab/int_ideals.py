@@ -58,6 +58,11 @@ def _box(radius: int, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(-radius, radius + 1), repeat=n)
 
 
+def _power_exceeds(side: int, exponent: int, cap: int) -> bool:
+    """``side ** exponent > cap`` for side >= 1; a side >= 2 passes by exponent cap.bit_length()."""
+    return side ** min(exponent, cap.bit_length()) > cap
+
+
 def divides(d: int, x: int) -> bool:
     """Divisibility with the convention that only 0 is divisible by 0."""
     return x == 0 if d == 0 else x % d == 0
@@ -161,9 +166,7 @@ class TableSubmodule(GeometricSubmodule):
         if default < 0:
             raise ValueError("rule values must be nonnegative")
         side = 2 * radius + 1
-        # For side >= 2 the power passes the cap by exponent cap.bit_length(),
-        # so a huge n costs no huge power.
-        if side ** min(n, MAX_TABLE_ENTRIES.bit_length()) > MAX_TABLE_ENTRIES:
+        if _power_exceeds(side, n, MAX_TABLE_ENTRIES):
             raise ValueError(
                 f"a table of radius {radius} on n = {n} has {side}^{n} entries, "
                 f"more than the cap of {MAX_TABLE_ENTRIES}"
@@ -226,13 +229,15 @@ def _pair_count(n: int, radius: int, samples: Optional[int], seed: Optional[int]
     if radius < 0:
         raise ValueError(f"box radius must be nonnegative, got {radius}")
     if samples is None:
-        pairs = (2 * radius + 1) ** (2 * n)
-        if pairs > MAX_EXHAUSTIVE_PAIRS:
+        side, exponent = 2 * radius + 1, 2 * n
+        if _power_exceeds(side, exponent, MAX_EXHAUSTIVE_PAIRS):
+            # The count is written out while it is short, as a power past that.
+            count = side ** exponent if side.bit_length() * exponent <= 64 else f"{side}^{exponent}"
             raise ValueError(
-                f"an exhaustive sweep of radius {radius} on n = {n} visits {pairs} pairs, "
+                f"an exhaustive sweep of radius {radius} on n = {n} visits {count} pairs, "
                 f"more than the cap of {MAX_EXHAUSTIVE_PAIRS}; sample instead"
             )
-        return pairs
+        return side ** exponent
     _check_integer(samples, "samples")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")

@@ -541,7 +541,11 @@ def _(rng, i):
     level = chain.separation_level(a, b, _CHAIN_C, bound)
     if level is None:
         return {"a": str(a), "b": str(b), "budget": budget, "bound": bound}
-    if level > 0 and (1 << (level - 1)) > max(2 * budget, 1):
+    # The proved bound: one bit past the largest c-exponent of the cyclic cores.
+    m = max((abs(e) for w in (a, b) for g, e in cyclic_reduce(w)[0].letters if g == _CHAIN_C),
+            default=0)
+    if level > (m.bit_length() + 1 if m else 0) or (
+            level > 0 and (1 << (level - 1)) > max(2 * budget, 1)):
         return {"a": str(a), "b": str(b), "level": level, "budget": budget}
 
 

@@ -14,7 +14,7 @@ from goldmanab.chain import (
     symmetric_residue,
     total_c_exponent,
 )
-from goldmanab.words import Letter, Word, are_conjugate, parse_word, reduce_word
+from goldmanab.words import Letter, Word, are_conjugate, cyclic_reduce, parse_word, reduce_word
 
 from conftest import words
 
@@ -243,6 +243,33 @@ def budget_level(a, b, c):
     return budget.bit_length() + 1 if budget else 0
 
 
+def core_bound(a, b, c):
+    """The proved bound T: one bit past the largest c-exponent of the cyclic cores."""
+    m = max((abs(exp) for w in (a, b) for gen, exp in cyclic_reduce(w)[0].letters if gen == c),
+            default=0)
+    return m.bit_length() + 1 if m else 0
+
+
+def stack_push(stack, letters, level, c):
+    """Oracle: push letters onto a normal form, merging and reducing at the top."""
+    for gen, exp in letters:
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+        if gen == c:
+            exp = symmetric_residue(exp, level)
+        if exp:
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def stack_product(x, y):
+    return stack_push(list(x.letters), y.letters, x.level, x.c)
+
+
+def stack_inverse(x):
+    return stack_push([], [(gen, -exp) for gen, exp in reversed(x.letters)], x.level, x.c)
+
+
 def power_words(max_len):
     """Words whose exponents are ±2^k (k <= 8) or next to one.
 
@@ -289,6 +316,43 @@ class TestAgainstLoopOracles:
             for n_max in (-1, 0, top - 1, top, top + 1, data.draw(st.integers(-1, top + 3))):
                 assert separation_level(a, b, 1, n_max) == loop_separation_level(a, b, 1, n_max)
             assert separation_level(a, b, 1, 10**18) == separation_level(a, b, 1, top) is not None
+
+    @given(power_words(8), power_words(8), st.integers(1, 3), st.integers(0, 9))
+    @settings(max_examples=300)
+    def test_product_and_inverse(self, u, v, c, level):
+        x, y = project_word(u, level, c), project_word(v, level, c)
+        assert (x * y).letters == stack_product(x, y)
+        assert x.inverse().letters == stack_inverse(x)
+
+    @pytest.mark.parametrize("level", range(10))
+    def test_product_and_inverse_at_the_residue_boundary(self, level):
+        h = max(1 << level >> 1, 1)  # 2^(level-1), the kept boundary residue
+        raws = [[(1, s * h)] for s in (1, -1)]
+        raws += [[(1, s * h), (2, 1), (1, t * h)] for s in (1, -1) for t in (1, -1)]
+        raws += [[(2, -1), (1, s * h), (3, 2)] for s in (1, -1)]
+        qs = [project_word(reduce_word(raw, 3), level, 1) for raw in raws]
+        for x in qs:
+            assert x.inverse().letters == stack_inverse(x)
+            for y in qs + [x.inverse()]:
+                assert (x * y).letters == stack_product(x, y)
+
+    @given(
+        chain_words(8, 9), chain_words(8, 9), st.integers(0, 5),
+        st.lists(chain_words(3, 4), min_size=1, max_size=2),
+    )
+    @settings(max_examples=300)
+    def test_separation_within_the_core_bound(self, w, v, level, xs):
+        kern = kernel_element(level, [level + i for i in range(len(xs))], xs, v, 1)
+        # w against its mirror, c-exponents negated, often separates exactly at T.
+        mirror = Word(3, [(gen, -exp if gen == 1 else exp) for gen, exp in w.letters])
+        for a, b in ((w, w * kern), (w, v), (w, mirror)):
+            if are_conjugate(a, b):
+                continue
+            top = core_bound(a, b, 1)
+            assert top <= budget_level(a, b, 1)
+            found = separation_level(a, b, 1, top)
+            assert found is not None
+            assert found == loop_separation_level(a, b, 1, budget_level(a, b, 1))
 
     def test_long_conjugates(self):
         rng = random.Random(11)
@@ -357,6 +421,21 @@ class TestSeparation:
     def test_not_separated_within_small_budget(self):
         a = reduce_word([(1, 8)], 2)
         assert separation_level(a, Word.identity(2), 1, 2) is None
+
+    def test_bound_from_the_cyclic_cores(self):
+        # The cores merge the end runs a1^3 and a1^5 into a1^8, so T = 5;
+        # the words' own largest exponent, 5, would give 4.
+        a = word("a1^3 a2 a1^5")
+        assert core_bound(a, word("a2 a1^-8"), 1) == 5
+        assert separation_level(a, word("a2 a1^-8"), 1, 99) == 5
+        assert separation_level(a, word("a2 a1^-8"), 1, 4) is None
+        assert separation_level(a, word("a1^-3 a2 a1^-5"), 1, 99) == 5
+        assert separation_level(a, word("a1^-3 a2 a1^-5"), 1, 4) is None
+
+    def test_bound_attained_by_single_c_letters(self):
+        # a1 and a1^-1 agree mod 2 and differ mod 4: T = 2 separates.
+        assert separation_level(word("a1 a2"), word("a1^-1 a2"), 1, 99) == 2
+        assert separation_level(word("a1 a2"), word("a1^-1 a2"), 1, 1) is None
 
     def test_total_c_exponent(self):
         assert total_c_exponent(word("a1^3 a2 a1^-2"), 1) == 5

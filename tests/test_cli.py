@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -527,6 +528,15 @@ class TestLimits:
             "--box", "30", "--seed", "1", "--exhaustive",
         )
         assert f"visits {61 ** 8} pairs" in err
+
+    def test_exhaustive_sweep_far_over_the_cap(self, capsys):
+        start = time.perf_counter()
+        err = assert_input_error(
+            capsys, "ideal-check", "--closed", "50000", "--rule", "ik", "--K", "[]",
+            "--box", "1000", "--exhaustive", "--seed", "1",
+        )
+        assert time.perf_counter() - start < 1
+        assert f"more than the cap of {int_ideals.MAX_EXHAUSTIVE_PAIRS}" in err
 
     def test_sampled_check_over_the_cap(self, capsys):
         err = assert_input_error(capsys, *IK_CHECK, "--box", "3", "--samples", "1000000000000")

@@ -661,6 +661,14 @@ class TestExhaustiveWorkCap:
             with pytest.raises(ValueError, match=f"{pairs} pairs"):
                 check(sig, GcdSubmodule(4), 30, samples=None)
 
+    def test_cap_names_a_huge_sweep_without_writing_its_count(self):
+        # 2001^200000 pairs: about 2.2 million bits, too long to print in decimal.
+        sig = SurfaceSignature.closed(50_000)
+        for check in (bracket_closure_check, gcd_divisibility_check):
+            with pytest.raises(ValueError, match=(
+                    rf"visits 2001\^200000 pairs, more than the cap of {MAX_EXHAUSTIVE_PAIRS}")):
+                check(sig, GcdSubmodule(sig.n), 1000, samples=None)
+
     def test_sampling_is_not_capped(self):
         sig = SurfaceSignature.with_boundary(2, 2)
         assert 7 ** 10 > MAX_EXHAUSTIVE_PAIRS
