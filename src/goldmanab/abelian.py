@@ -152,9 +152,6 @@ class ModuleElement(_Value):
     def coefficient(self, mono: Monomial) -> Coefficient:
         return self._terms.get(mono, Fraction(0) if self.ring == "Q" else 0)
 
-    def support(self) -> set[Monomial]:
-        return set(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -192,11 +189,6 @@ class ModuleElement(_Value):
         if self.ring == "Q":
             return self
         return ModuleElement._make("Q", {m: Fraction(c) for m, c in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self._terms.items())))

@@ -19,8 +19,8 @@ from fractions import Fraction
 from . import chain, int_ideals, rat_ideals, selftest
 from .abelian import ModuleElement, _json_shape, abelianize, exponent_vector
 from .bracket import bracket
-from .symplectic import SurfaceSignature, symplectic_product
-from .words import Word, are_conjugate, parse_word
+from .symplectic import SurfaceSignature, center_generators, symplectic_product
+from .words import are_conjugate, parse_word
 
 
 def _surface(args) -> SurfaceSignature:
@@ -29,10 +29,10 @@ def _surface(args) -> SurfaceSignature:
     return SurfaceSignature.with_boundary(*args.boundary)
 
 
-def _parse_word_loose(text: str, c: int) -> Word:
-    """Parse with the alphabet inferred from the word itself and c."""
-    gens = [int(m.group(1)) for m in re.finditer(r"a(\d+)", text)]
-    return parse_word(text, max(gens + [c, 1]))
+def _loose_alphabet(c: int, *texts: str) -> int:
+    """The alphabet size that the words themselves and c name, at least 1."""
+    gens = [int(m.group(1)) for text in texts for m in re.finditer(r"a(\d+)", text)]
+    return max(gens + [c, 1])
 
 
 def _parse_tuple_set(text: str) -> list[tuple[int, ...]]:
@@ -97,7 +97,7 @@ def _cmd_pair(args) -> tuple[dict, int]:
 
 def _cmd_center(args) -> tuple[dict, int]:
     sig = _surface(args)
-    return {"generators": [f"a{i}" for i in range(2 * sig.genus + 1, sig.n + 1)]}, 0
+    return {"generators": [f"a{i}" for i in center_generators(sig)]}, 0
 
 
 def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodule:
@@ -161,17 +161,18 @@ def _cmd_ideal_member(args) -> tuple[dict, int]:
 
 
 def _cmd_chain_project(args) -> tuple[dict, int]:
-    image = chain.project_word(_parse_word_loose(args.word, args.c), args.n, args.c)
+    word = parse_word(args.word, _loose_alphabet(args.c, args.word))
+    image = chain.project_word(word, args.n, args.c)
     return {"word": str(image.to_word())}, 0
 
 
 def _cmd_chain_separate(args) -> tuple[dict, int]:
     if args.nmax < 0:
         raise ValueError("--nmax must be nonnegative")
-    a = _parse_word_loose(args.word_a, args.c)
-    b = _parse_word_loose(args.word_b, args.c)
-    n = max(a.n, b.n)
-    a, b = Word(n, a.letters), Word(n, b.letters)
+    n = _loose_alphabet(args.c, args.word_a, args.word_b)
+    if args.c < 1:  # before the conjugacy test, which does not read c
+        raise ValueError(f"distinguished generator {args.c} out of range 1..{n}")
+    a, b = parse_word(args.word_a, n), parse_word(args.word_b, n)
     if are_conjugate(a, b):
         return {"result": "conjugate"}, 1
     level = chain.separation_level(a, b, args.c, args.nmax)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import attrgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .abelian import ModuleElement, Monomial, _exact_from_json, _json_shape, _merge_terms
 from .bracket import bracket
-from .symplectic import SurfaceSignature, is_central, symplectic_product
+from .symplectic import SurfaceSignature, _require_length, is_central, symplectic_product
 from .words import _Value
 
 
@@ -83,9 +83,6 @@ class PrimitiveLabel(_Value):
         # Translation by x is injective, so the monomials stay distinct.
         return ModuleElement._make("Q", {m * x: q for m, q in self.pairs})
 
-    def sort_key(self) -> tuple:
-        return self.pairs
-
     def __repr__(self) -> str:
         body = ", ".join(f"({tuple(m)}, {q})" for m, q in self.pairs)
         return f"PrimitiveLabel([{body}])"
@@ -137,9 +134,8 @@ def _classes(
         raise ValueError("decomposition is defined on the rational module")
     terms, g2 = u._terms, 2 * sig.genus
     # All monomials of an element share one length, so one term tells.
-    mono = next(iter(terms), None)
-    if mono is not None and len(mono) != sig.n:
-        raise ValueError(f"monomial length {len(mono)} != {sig.n} generators of the surface")
+    if terms:
+        _require_length(sig, next(iter(terms)))
     classes: dict[tuple[int, ...], list[Monomial]] = {}
     central: dict[Monomial, Fraction] = {}
     # Sorting the monomials alone compares no coefficients.  Sorted, each
@@ -258,7 +254,7 @@ class RationalIdeal(_Value):
         return cls._make(frozenset(labels), basis)
 
     def sorted_labels(self) -> list[PrimitiveLabel]:
-        return sorted(self.labels, key=PrimitiveLabel.sort_key)
+        return sorted(self.labels, key=attrgetter("pairs"))
 
     def is_zero(self) -> bool:
         return not self.labels and not self.central_basis
@@ -332,33 +328,36 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
 
 
 def verify_bracket_closure(
-    sig: SurfaceSignature,
-    ideal: RationalIdeal,
-    rng,
-    samples: int = 200,
-    radius: int = 4,
+    sig: SurfaceSignature, ideal: RationalIdeal, rng, samples: int = 200
 ) -> Optional[dict]:
     """Sampled guard: bracketing members with monomials stays inside.
 
     Draws random combinations of primitive terms and central basis vectors,
-    brackets them with random monomials, and checks membership.  Returns a
-    description of the first violation, or None.
+    brackets them with random monomials, exponents in [-4, 4], and checks
+    membership.  Returns a description of the first violation, or None.
+    A sample whose labels need more translation classes than the box holds
+    raises ValueError.
     """
     labels = ideal.sorted_labels()
+    radius, g2 = 4, 2 * sig.genus
+    room = max(1, (2 * radius + 1) ** g2 - 1)  # non-central classes of the box; at g = 0 only ()
     for _ in range(samples):
         member = ModuleElement.zero("Q")
         used_classes: set[tuple[int, ...]] = set()
         for label in labels:
             if rng.random() < 0.5:
                 continue
+            if len(used_classes) == room:
+                raise ValueError(f"a sample needs more than the {room} classes of the box")
             # Distinct translation classes per label keep the parts separate.
             while True:
                 exps = [rng.randint(-radius, radius) for _ in range(sig.n)]
-                if not any(exps[: 2 * sig.genus]):
-                    exps[rng.randrange(max(1, 2 * sig.genus))] = 1
-                if tuple(exps[: 2 * sig.genus]) not in used_classes:
+                if not any(exps[:g2]):
+                    exps[rng.randrange(max(1, g2))] = 1
+                key = tuple(exps[:g2])
+                if key not in used_classes:
                     break
-            used_classes.add(tuple(exps[: 2 * sig.genus]))
+            used_classes.add(key)
             coeff = Fraction(rng.randint(1, 6), rng.randint(1, 6))
             member = member + label.element_at(Monomial(exps)).scaled(coeff)
         for row in ideal.central_basis:
@@ -371,15 +370,13 @@ def verify_bracket_closure(
     return None
 
 
-def closed_surface_classification_check(
-    sig: SurfaceSignature, rng, samples: int = 200, radius: int = 6
-) -> bool:
+def closed_surface_classification_check(sig: SurfaceSignature, rng, samples: int = 200) -> bool:
     """On a closed surface, single-monomial closures land in one of three forms.
 
     Either the zero ideal seeded by the identity (labels empty, center the
     identity line), the span of everything but the identity (the trivial
     label alone), or the whole algebra (both).  Verified on sampled
-    single-monomial generating sets.
+    single-monomial generating sets with exponents in [-6, 6].
     """
     if not sig.is_closed:
         raise ValueError("classification check applies to closed surfaces")
@@ -388,7 +385,7 @@ def closed_surface_classification_check(
     for _ in range(samples):
         gens = []
         for _ in range(rng.randint(1, 2)):
-            exps = tuple(rng.randint(-radius, radius) for _ in range(sig.n))
+            exps = tuple(rng.randint(-6, 6) for _ in range(sig.n))
             coeff = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             gens.append(ModuleElement.single("Q", Monomial(exps), coeff))
         ideal = ideal_closure(sig, gens)

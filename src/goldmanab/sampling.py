@@ -12,7 +12,7 @@ from typing import Callable
 
 from .abelian import ModuleElement, Monomial
 from .rat_ideals import PrimitiveLabel
-from .symplectic import SurfaceSignature, is_central
+from .symplectic import SurfaceSignature, center_generators, is_central
 from .words import Word, reduce_word
 
 
@@ -66,15 +66,11 @@ def random_element(
     ring: str = "Z",
     max_terms: int = 4,
     radius: int = 5,
-    coef_bound: int = 9,
 ) -> ModuleElement:
+    """Up to ``max_terms`` terms; numerators and denominators are at most 9."""
     terms = []
     for _ in range(rng.randint(0, max_terms)):
-        coef = (
-            random_nonzero_int(rng, coef_bound)
-            if ring == "Z"
-            else random_fraction(rng, coef_bound)
-        )
+        coef = random_nonzero_int(rng, 9) if ring == "Z" else random_fraction(rng, 9)
         terms.append((random_monomial(rng, n, radius), coef))
     return ModuleElement(ring, terms)
 
@@ -83,41 +79,32 @@ def random_central_monomial(
     rng: random.Random, sig: SurfaceSignature, radius: int = 4
 ) -> Monomial:
     exps = [0] * sig.n
-    for j in range(2 * sig.genus, sig.n):
-        exps[j] = rng.randint(-radius, radius)
+    for gen in center_generators(sig):
+        exps[gen - 1] = rng.randint(-radius, radius)
     return Monomial(exps)
 
 
-def random_noncentral_monomial(
-    rng: random.Random, sig: SurfaceSignature, radius: int = 4
-) -> Monomial:
+def random_noncentral_monomial(rng: random.Random, sig: SurfaceSignature) -> Monomial:
+    """Exponents in [-4, 4], redrawn until the monomial is not central."""
     while True:
-        mono = random_monomial(rng, sig.n, radius)
+        mono = random_monomial(rng, sig.n, 4)
         if not is_central(sig, mono):
             return mono
 
 
-def random_label(
-    rng: random.Random,
-    sig: SurfaceSignature,
-    max_pairs: int = 3,
-    radius: int = 3,
-    coef_bound: int = 5,
-) -> PrimitiveLabel:
-    """A canonical label built from random central data.
+def random_label(rng: random.Random, sig: SurfaceSignature) -> PrimitiveLabel:
+    """A canonical label of 1..3 distinct central monomials, exponents in [-3, 3].
 
+    The weights are random fractions with numerator and denominator up to 5.
     On a closed surface the center is trivial, so the only label is the
     trivial one.
     """
-    count = rng.randint(1, max_pairs)
     seen: set[tuple[int, ...]] = set()
     pairs = []
-    for _ in range(count):
-        mono = random_central_monomial(rng, sig, radius)
+    for _ in range(rng.randint(1, 3)):
+        mono = random_central_monomial(rng, sig, 3)
         if mono in seen:
             continue
         seen.add(mono)
-        pairs.append((mono, random_fraction(rng, coef_bound)))
-    if not pairs:
-        pairs = [(Monomial.identity(sig.n), Fraction(1))]
+        pairs.append((mono, random_fraction(rng, 5)))
     return PrimitiveLabel.from_pairs(sig, pairs)

@@ -105,15 +105,16 @@ def _pairing_row(genus: int, x: tuple[int, ...]) -> list[int]:
 def pairing_vector(sig: SurfaceSignature, x: Monomial) -> tuple[int, ...]:
     """(<x, a_1>, ..., <x, a_n>), so that symplectic_product(x, y) = Y . vector."""
     _require_length(sig, x)
-    return (*_pairing_row(sig.genus, x), *(0,) * (sig.n - 2 * sig.genus))
+    return (*_pairing_row(sig.genus, x), *(0,) * len(center_generators(sig)))
 
 
-def center_generators(sig: SurfaceSignature) -> list[Monomial]:
-    """Generators of the monomials pairing to zero with everything.
+def center_generators(sig: SurfaceSignature) -> range:
+    """Indices i of the generators a_i that pair to zero with everything.
 
-    Empty for a closed surface; the generators a_{2g+1}..a_n otherwise.
+    Empty for a closed surface; 2g+1..n otherwise.  They generate the
+    center, the monomials whose first 2g exponents vanish.
     """
-    return [Monomial.unit(sig.n, gen) for gen in range(2 * sig.genus + 1, sig.n + 1)]
+    return range(2 * sig.genus + 1, sig.n + 1)
 
 
 def is_central(sig: SurfaceSignature, x: Monomial) -> bool:

@@ -160,6 +160,7 @@ class CyclicWord(_Value):
     __slots__ = ("n", "letters")
 
     def __new__(cls, n: int, letters: Iterable[Letter] = ()):
+        _check_alphabet(n)
         letters = _checked_letters(letters, n)
         if len(letters) >= 2 and letters[0].gen == letters[-1].gen:
             raise ValueError("first and last letter share a generator; not cyclically reduced")

@@ -200,6 +200,14 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "chain-separate", "--c", "1", "--nmax", "-3", "a1", "a2")
         assert code == 2 and out == "" and "--nmax" in err
 
+    @pytest.mark.parametrize("c", ["0", "-2"])
+    @pytest.mark.parametrize("words, n", [(("a1", "a1"), 1), (("a1", "a2"), 2)],
+                             ids=["conjugate", "distinct"])
+    def test_chain_separate_rejects_c_below_one(self, capsys, c, words, n):
+        code, out, err = run_cli(capsys, "chain-separate", "--c", c, "--nmax", "3", *words)
+        assert code == 2 and out == ""
+        assert err == f"error: distinguished generator {c} out of range 1..{n}\n"
+
     def test_fractional_exponent_in_element_json(self, capsys):
         elem = json.dumps({"ring": "Q", "terms": [{"exp": [1.7, 0, 0], "coef": "1"}]})
         code, out, err = run_cli(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", elem)

@@ -292,6 +292,22 @@ class TestClosure:
             assert verify_bracket_closure(sig, ideal, rng, samples=60) is None
 
 
+    @pytest.mark.parametrize("sig, labels, room", [
+        # g = 0: the box has one translation class, so two labels cannot
+        # both sit in a member.
+        (SurfaceSignature.with_boundary(0, 3), [[], [((1, 0), 2)]], 1),
+        # g = 1: about 100 of 200 labels per member, against 80 classes.
+        (ONE_HOLED_TORUS, [[((0, 0, k), 1)] for k in range(1, 201)], 80),
+    ], ids=["genus0", "genus1"])
+    def test_bracket_closure_guard_runs_out_of_classes(self, sig, labels, room):
+        identity = (Monomial.identity(sig.n), q(1))
+        ideal = RationalIdeal(
+            PrimitiveLabel([identity, *((Monomial(m), q(w)) for m, w in rest)]) for rest in labels
+        )
+        with pytest.raises(ValueError, match=f"more than the {room} classes"):
+            verify_bracket_closure(sig, ideal, random.Random(0))
+
+
 class TestEquality:
     def test_same_label_different_base(self):
         a = ideal_closure(TORUS, [single((1, 0), 1)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -116,11 +118,22 @@ class TestPairingVector:
 
 class TestCenter:
     def test_closed_center_trivial(self):
-        assert center_generators(SurfaceSignature.closed(2)) == []
+        assert list(center_generators(SurfaceSignature.closed(2))) == []
 
     def test_boundary_generators(self):
         gens = center_generators(SurfaceSignature.with_boundary(1, 3))
-        assert gens == [(0, 0, 1, 0), (0, 0, 0, 1)]
+        assert list(gens) == [3, 4]
+
+    def test_generators_cost_no_memory_per_boundary_component(self):
+        sig = SurfaceSignature.with_boundary(1, 3000)
+        tracemalloc.start()
+        try:
+            gens = center_generators(sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gens) == 2999
+        assert peak < 1 << 20
 
     def test_membership(self):
         sig = SurfaceSignature.with_boundary(1, 2)

@@ -177,6 +177,10 @@ class TestConjugacy:
         with pytest.raises(ValueError, match="not cyclically reduced"):
             CyclicWord(2, [(1, 1), (2, 1), (1, 1)])
 
+    def test_cyclic_word_rejects_a_negative_alphabet(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            CyclicWord(-1, ())
+
     def test_canonical_after_reduction(self):
         assert conjugacy_canonical(parse_word("a1 a2 a1^-1", 2)) == CyclicWord(2, (Letter(2, 1),))
 
