@@ -10,6 +10,8 @@ All arithmetic is exact and arbitrary precision.
 from __future__ import annotations
 
 import operator
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -32,7 +34,8 @@ class Monomial(tuple):
     def __new__(cls, exps: Iterable[int]):
         exps = tuple(exps)
         for e in exps:
-            _check_integer(e)
+            if e.__class__ is not int:
+                _check_integer(e)
         return tuple.__new__(cls, exps)
 
     @classmethod
@@ -42,8 +45,7 @@ class Monomial(tuple):
     @classmethod
     def unit(cls, n: int, gen: int) -> "Monomial":
         """The generator monomial a_gen (1-based index)."""
-        if not 1 <= gen <= n:
-            raise ValueError(f"generator index {gen} out of range 1..{n}")
+        _check_integer(gen, "generator index", 1, n)
         exps = [0] * n
         exps[gen - 1] = 1
         return tuple.__new__(cls, exps)
@@ -71,23 +73,34 @@ class Monomial(tuple):
 
 def _check_coefficient(ring: str, coef: Coefficient) -> Coefficient:
     if ring == "Z":
-        if isinstance(coef, int):
+        if isinstance(coef, int) and coef.__class__ is not bool:
             return coef
         raise TypeError(f"ring Z requires int coefficients, got {coef!r}")
     if ring == "Q":
         if isinstance(coef, Fraction):
             return coef
-        if isinstance(coef, int):
+        if isinstance(coef, int) and coef.__class__ is not bool:
             return Fraction(coef)
         raise TypeError(f"ring Q requires exact rational coefficients, got {coef!r}")
     raise ValueError(f"unknown ring {ring!r}")
 
 
 def _exact_from_json(value, ring: str) -> Coefficient:
-    """A coefficient read from JSON: a string or an int, never a binary float."""
-    if not isinstance(value, (str, int)):
+    """A coefficient read from JSON or the CLI: a string or an int, never a float or bool.
+
+    A decimal exponent past the int-string digit limit raises ValueError, as
+    an integer string that long does, before ``Fraction`` builds 10**exponent.
+    """
+    if not isinstance(value, (str, int)) or value.__class__ is bool:
         raise TypeError(f"coefficient {value!r} must be a string or an integer")
-    return int(value) if ring == "Z" else Fraction(value)
+    exponent = isinstance(value, str) and re.search(r"[eE]([-+]?[\d_]+)\s*$", value)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    try:
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent {exponent[1]} exceeds the {limit}-digit limit")
+        return int(value) if ring == "Z" else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad coefficient: {exc}") from exc
 
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "a number",
@@ -240,8 +253,7 @@ def exponent_vector(w: Word, n: int | None = None) -> Monomial:
 
 def generator_exponent_sum(w: Word, gen: int) -> int:
     """Signed exponent sum of one generator in ``w``."""
-    if not 1 <= gen <= w.n:
-        raise ValueError(f"generator index {gen} out of range 1..{w.n}")
+    _check_integer(gen, "generator index", 1, w.n)
     return sum(let.exp for let in w.letters if let.gen == gen)
 
 

@@ -27,18 +27,18 @@ level costs nothing.
 from __future__ import annotations
 
 import bisect
-import operator
 from typing import Iterable, Optional
 
 from .words import (
     Letter,
     Word,
+    _check_integer,
     _checked_letters,
+    _cyclic_core,
     _is_rotation,
     _new_letter,
     _Value,
     concat,
-    cyclic_reduce,
     inverse,
 )
 
@@ -71,9 +71,9 @@ class QuotientWord(_Value):
     __slots__ = ("level", "c", "alphabet", "letters")
 
     def __new__(cls, level: int, c: int, alphabet: int, letters: Iterable[Letter] = ()):
-        _check_level(level)
-        if not 1 <= c <= alphabet:
-            raise ValueError(f"distinguished generator {c} out of range 1..{alphabet}")
+        _check_integer(level, "level", 0)
+        _check_integer(alphabet, "alphabet size", 0)
+        _check_integer(c, "distinguished generator", 1, alphabet)
         letters = _checked_letters(letters, alphabet)
         for gen, exp in letters:
             if gen == c and symmetric_residue(exp, level) != exp:
@@ -106,11 +106,6 @@ class QuotientWord(_Value):
         return f"QuotientWord(level={self.level}, c={self.c}, word={str(self.to_word())!r})"
 
 
-def _check_level(level: int) -> None:
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-
-
 def project_word(w: Word, level: int, c: int) -> QuotientWord:
     """The canonical projection of a free-group word to the level quotient.
 
@@ -120,9 +115,8 @@ def project_word(w: Word, level: int, c: int) -> QuotientWord:
     >>> str(project_word(Word(2, [(1, 5)]), 1, 1).to_word())
     'a1'
     """
-    _check_level(level)
-    if not 1 <= c <= w.n:
-        raise ValueError(f"distinguished generator {c} out of range 1..{w.n}")
+    _check_integer(level, "level", 0)
+    _check_integer(c, "distinguished generator", 1, w.n)
     letters = w.letters
     # Letters before the first c-letter outside the residue range are already
     # in normal form, and so is the whole word when there is no such letter.
@@ -161,30 +155,18 @@ def project_word(w: Word, level: int, c: int) -> QuotientWord:
 def conjugate_in_quotient(x: QuotientWord, y: QuotientWord) -> bool:
     """Conjugacy decision in the free product, linear in the number of runs.
 
-    Each side is cyclically reduced at the letter level, the way
-    :func:`~goldmanab.words.cyclic_reduce` does it, except that matching
-    c-letters merge to their symmetric residue.  The two letter cycles are
+    Each side is cyclically reduced at the letter level by the routine
+    behind :func:`~goldmanab.words.cyclic_reduce`, with a merged c-exponent
+    folded to its symmetric residue.  The two letter cycles are
     then conjugate exactly when one is a rotation of the other; this covers
     single letters (equal residues, equal free powers) and the identity.
     """
     x._require_compatible(y)
-    return _is_rotation(_cyclic_core(x), _cyclic_core(y))
 
+    def fold(gen: int, exp: int) -> int:
+        return symmetric_residue(exp, x.level) if gen == x.c else exp
 
-def _cyclic_core(q: QuotientWord) -> tuple[Letter, ...]:
-    # Conjugate away matching end letters until the letter cycle is reduced.
-    letters = q.letters
-    lo, hi = 0, len(letters)  # the core is letters[lo:hi]
-    while hi - lo >= 2 and letters[lo].gen == letters[hi - 1].gen:
-        gen = letters[lo].gen
-        total = letters[lo].exp + letters[hi - 1].exp
-        if gen == q.c:
-            total = symmetric_residue(total, q.level)
-        lo, hi = lo + 1, hi - 1
-        if total:
-            # The ends merge instead of cancelling: rotate the first letter inward.
-            return letters[lo:hi] + (Letter(gen, total),)
-    return letters[lo:hi]
+    return _is_rotation(_cyclic_core(x.letters, fold)[1], _cyclic_core(y.letters, fold)[1])
 
 
 def kernel_element(
@@ -204,11 +186,11 @@ def kernel_element(
     factors = list(factors)
     if not exponents or len(exponents) != len(factors):
         raise ValueError("need equally many exponents and words, at least one of each")
+    _check_integer(level, "level", 0)
     if any(m < level for m in exponents):
         raise ValueError(f"all exponents must be >= level {level}")
     n = conjugator.n
-    if not 1 <= c <= n:
-        raise ValueError(f"distinguished generator {c} out of range 1..{n}")
+    _check_integer(c, "distinguished generator", 1, n)
     if any(x.n != n for x in factors):
         raise ValueError("alphabet mismatch among the factor words")
     out = conjugator
@@ -240,11 +222,13 @@ def separation_level(a: Word, b: Word, c: int, n_max: int) -> Optional[int]:
     """
     if a.n != b.n:
         raise ValueError(f"alphabet mismatch: {a.n} vs {b.n}")
-    a, b = cyclic_reduce(a)[0], cyclic_reduce(b)[0]
+    _check_integer(c, "distinguished generator", 1, a.n)
+    _check_integer(n_max, "n_max")
+    a, b = (Word._make(w.n, _cyclic_core(w.letters)[1]) for w in (a, b))
     if _is_rotation(a.letters, b.letters):
         raise ValueError("words are conjugate in the free group; no level separates them")
     m = max((abs(exp) for w in (a, b) for gen, exp in w.letters if gen == c), default=0)
-    hi = min(operator.index(n_max), m.bit_length() + 1 if m else 0)
+    hi = min(n_max, m.bit_length() + 1 if m else 0)
 
     def separated(level: int) -> bool:
         return not conjugate_in_quotient(project_word(a, level, c), project_word(b, level, c))

@@ -14,13 +14,13 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import chain, int_ideals, rat_ideals, selftest
-from .abelian import ModuleElement, _json_shape, abelianize, exponent_vector
+from .abelian import (ModuleElement, _exact_from_json, _json_shape, abelianize,
+                      exponent_vector)
 from .bracket import bracket
 from .symplectic import SurfaceSignature, center_generators, symplectic_product
-from .words import are_conjugate, parse_word
+from .words import _check_integer, are_conjugate, parse_word
 
 
 def _surface(args) -> SurfaceSignature:
@@ -81,10 +81,7 @@ def _cmd_ab(args) -> tuple[dict, int]:
     if len(coef_strings) != len(words):
         raise ValueError("need exactly one coefficient per word")
     ring = args.ring or ("Q" if any("/" in c for c in coef_strings) else "Z")
-    try:
-        coefs = [Fraction(c) if ring == "Q" else int(c) for c in coef_strings]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coefficient: {exc}") from exc
+    coefs = [_exact_from_json(c, ring) for c in coef_strings]
     return abelianize(list(zip(coefs, words)), sig.n, ring=ring).to_json_obj(), 0
 
 
@@ -167,11 +164,9 @@ def _cmd_chain_project(args) -> tuple[dict, int]:
 
 
 def _cmd_chain_separate(args) -> tuple[dict, int]:
-    if args.nmax < 0:
-        raise ValueError("--nmax must be nonnegative")
+    _check_integer(args.nmax, "--nmax", 0)
     n = _loose_alphabet(args.c, args.word_a, args.word_b)
-    if args.c < 1:  # before the conjugacy test, which does not read c
-        raise ValueError(f"distinguished generator {args.c} out of range 1..{n}")
+    _check_integer(args.c, "distinguished generator", 1, n)  # are_conjugate does not read c
     a, b = parse_word(args.word_a, n), parse_word(args.word_b, n)
     if are_conjugate(a, b):
         return {"result": "conjugate"}, 1

@@ -21,8 +21,8 @@ ways:
 
 All three give the report the pair loop would give, counts included.
 Sampled coordinates are drawn exactly as ``Random(seed).randrange(-r, r + 1)``
-would draw them.  Every check validates its arguments first, and both
-sweeps and samples are capped at MAX_EXHAUSTIVE_PAIRS pairs.
+would draw them.  Every check first validates its radius and sample count
+(ints, not bools), capping sweeps and samples at MAX_EXHAUSTIVE_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import ModuleElement, Monomial
 from .symplectic import SurfaceSignature, _pairing_row
-from .words import _check_integer
+from .words import _check_integer, _Value
 
 MAX_EXHAUSTIVE_PAIRS = 10_000_000
 """The most pairs a criterion check may visit: (2r+1)^(2n) in a sweep, one per sample."""
@@ -93,7 +93,7 @@ class GeometricSubmodule:
         return True
 
 
-class GcdSubmodule(GeometricSubmodule):
+class GcdSubmodule(GeometricSubmodule, _Value):
     """Rule: 1 on a finite exception set K, gcd of the exponent tuple elsewhere.
 
     The gcd of the all-zero tuple is 0, so the identity monomial has no
@@ -108,16 +108,13 @@ class GcdSubmodule(GeometricSubmodule):
 
     __slots__ = ("n", "exceptions")
 
-    def __init__(self, n: int, exceptions: Iterable[tuple[int, ...]] = ()):
-        _check_integer(n, "tuple length")
-        if n < 1:
-            raise ValueError(f"tuple length must be >= 1, got {n}")
+    def __new__(cls, n: int, exceptions: Iterable[tuple[int, ...]] = ()):
+        _check_integer(n, "tuple length", 1)
         exceptions = frozenset(map(_exponent_tuple, exceptions))
         for t in exceptions:
             if len(t) != n:
                 raise ValueError(f"exception tuple {t} has length != {n}")
-        self.n = n
-        self.exceptions = exceptions
+        return cls._make(n, exceptions)
 
     def min_multiple(self, x: tuple[int, ...]) -> int:
         if len(x) != self.n:
@@ -129,14 +126,6 @@ class GcdSubmodule(GeometricSubmodule):
     def in_domain(self, x: tuple[int, ...]) -> bool:
         return len(x) == self.n
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GcdSubmodule):
-            return NotImplemented
-        return self.n == other.n and self.exceptions == other.exceptions
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.exceptions))
-
     def __repr__(self) -> str:
         k = sorted(self.exceptions)
         return f"GcdSubmodule(n={self.n}, exceptions={k!r})"
@@ -145,9 +134,10 @@ class GcdSubmodule(GeometricSubmodule):
 class TableSubmodule(GeometricSubmodule):
     """Rule given by an explicit finite table over the box [-radius, radius]^n.
 
-    Evaluation outside the box raises: the ideal criteria quantify over the
-    whole monomial group, so sampled checking has to be explicit about the
-    domain it actually covered.
+    ``n`` >= 1, ``radius`` and the rule values are ints, not bools, and not
+    negative.  Evaluation outside the box raises: the ideal criteria
+    quantify over the whole monomial group, so sampled checking has to be
+    explicit about the domain it actually covered.
     """
 
     __slots__ = ("n", "radius", "values")
@@ -159,12 +149,9 @@ class TableSubmodule(GeometricSubmodule):
         values: dict[tuple[int, ...], int] | None = None,
         default: int = 1,
     ):
-        _check_integer(radius, "radius")
-        _check_integer(default, "rule value")
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if default < 0:
-            raise ValueError("rule values must be nonnegative")
+        _check_integer(n, "tuple length", 1)
+        _check_integer(radius, "radius", 0)
+        _check_integer(default, "rule value", 0)
         side = 2 * radius + 1
         if _power_exceeds(side, n, MAX_TABLE_ENTRIES):
             raise ValueError(
@@ -180,9 +167,7 @@ class TableSubmodule(GeometricSubmodule):
             t = _exponent_tuple(t)
             if len(t) != n or max(map(abs, t), default=0) > radius:
                 raise ValueError(f"table key {t} outside the box")
-            _check_integer(a, "rule value")
-            if a < 0:
-                raise ValueError("rule values must be nonnegative")
+            _check_integer(a, "rule value", 0)
             table[t] = a
         self.values = table
 
@@ -225,9 +210,7 @@ def _pair_count(n: int, radius: int, samples: Optional[int], seed: Optional[int]
     # The argument and cap checks of every criterion check, run before any
     # path does work.  Returns the pairs the check covers: (2r+1)^(2n), or
     # samples.
-    _check_integer(radius, "box radius")
-    if radius < 0:
-        raise ValueError(f"box radius must be nonnegative, got {radius}")
+    _check_integer(radius, "box radius", 0)
     if samples is None:
         side, exponent = 2 * radius + 1, 2 * n
         if _power_exceeds(side, exponent, MAX_EXHAUSTIVE_PAIRS):
@@ -238,9 +221,7 @@ def _pair_count(n: int, radius: int, samples: Optional[int], seed: Optional[int]
                 f"more than the cap of {MAX_EXHAUSTIVE_PAIRS}; sample instead"
             )
         return side ** exponent
-    _check_integer(samples, "samples")
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    _check_integer(samples, "samples", 0)
     if samples > MAX_EXHAUSTIVE_PAIRS:
         raise ValueError(
             f"{samples} samples exceed the cap of {MAX_EXHAUSTIVE_PAIRS} pairs per check"
@@ -296,9 +277,9 @@ def bracket_closure_check(
     Pairs (v, w) are drawn from the box [-radius, radius]^n (exhaustively
     when ``samples`` is None); pairs whose product leaves the rule's domain
     are skipped and counted.  The first violation is reported.  A
-    non-integer ``radius`` or ``samples`` raises TypeError; a negative one,
-    or more than MAX_EXHAUSTIVE_PAIRS pairs (exhaustive) or samples, raises
-    ValueError, on every rule and before any work.
+    ``radius`` or ``samples`` not an int (or a bool) raises TypeError; a
+    negative one, or more than MAX_EXHAUSTIVE_PAIRS pairs (exhaustive) or
+    samples, raises ValueError, on every rule and before any work.
 
     The gcd rule is decided without a sweep, by this proof: if v+w is in K
     the rule there is 1.  Otherwise <v,w> = <v, v+w>, because <v,v> = 0,
@@ -450,8 +431,7 @@ def gcd_submodule_family(
     than MAX_FAMILY_TUPLES tuples in all raises ValueError before any member
     is built.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_integer(count, "count", 1)
     k0 = [_exponent_tuple(t) for t in k0]
     if n is None:
         if not k0:

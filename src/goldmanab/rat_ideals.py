@@ -309,13 +309,13 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
 
     The classes of ``u`` are grouped as :func:`decompose_by_center` groups
     them, and each distinct label is looked up once.  An ideal that does
-    not fit the surface raises ValueError.  The monomials of a label, like
-    those of a central row, share one length.  A label starts at the
-    identity, so a non-central monomial in it sorts after all central
-    ones: its last pair is central only if every pair is.
+    not fit the surface raises ValueError: every monomial of a central row
+    is tested.  The monomials of a label share one length, and a label
+    starts at the identity, so a non-central monomial in it sorts after all
+    central ones: its last pair is central only if every pair is.
     """
     probes = [lab.pairs[-1][0] for lab in ideal.labels]
-    probes += [next(iter(row._terms)) for row in ideal.central_basis]
+    probes += [mono for row in ideal.central_basis for mono in row._terms]
     for mono in probes:
         if not is_central(sig, mono):  # raises on a length other than sig.n
             raise ValueError(f"ideal monomial {tuple(mono)} is not central")

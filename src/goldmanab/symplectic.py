@@ -37,14 +37,8 @@ class SurfaceSignature:
     boundary: int = 0
 
     def __post_init__(self):
-        _check_integer(self.genus, "genus")
-        _check_integer(self.boundary, "boundary count")
-        if self.boundary < 0:
-            raise ValueError("boundary component count must be nonnegative")
-        if self.boundary == 0 and self.genus < 1:
-            raise ValueError("closed surface needs genus >= 1")
-        if self.boundary > 0 and self.genus < 0:
-            raise ValueError("genus must be nonnegative")
+        _check_integer(self.boundary, "boundary count", 0)
+        _check_integer(self.genus, "genus", 0 if self.boundary else 1)  # closed: genus >= 1
         if self.n < 1:
             raise ValueError("surface must have n >= 1 (the disk is excluded)")
         if self.n > MAX_RANK:
@@ -56,8 +50,7 @@ class SurfaceSignature:
 
     @classmethod
     def with_boundary(cls, genus: int, boundary: int) -> "SurfaceSignature":
-        if boundary < 1:
-            raise ValueError("boundary surface needs at least one component")
+        _check_integer(boundary, "boundary count", 1)
         return cls(genus, boundary)
 
     @property

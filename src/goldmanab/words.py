@@ -3,7 +3,9 @@
 Words are run-length encoded: a letter is a pair (generator index, nonzero
 exponent) and adjacent letters always carry distinct generators, so every
 ``Word`` is freely reduced by construction.  Conjugacy classes are
-represented by ``CyclicWord`` values stored in a canonical rotation.
+represented by ``CyclicWord`` values stored in a canonical rotation.  The
+alphabet size, indices and exponents are ints, never ``bool``;
+:func:`_check_integer` is the package's one check of such integers.
 
 Conjugacy here is free-group conjugacy.  For a closed surface the
 fundamental group has one relator, so ``are_conjugate`` is only sound for
@@ -77,8 +79,7 @@ def _checked_letters(raw: Iterable[tuple[int, int]], n: int) -> tuple[Letter, ..
     letters = tuple(Letter(g, e) for g, e in raw)
     prev_gen = 0
     for let in letters:
-        if not 1 <= let.gen <= n:
-            raise ValueError(f"generator index {let.gen} out of range 1..{n}")
+        _check_integer(let.gen, "generator index", 1, n)
         _check_integer(let.exp)
         if let.exp == 0:
             raise ValueError("zero-exponent letter")
@@ -103,7 +104,7 @@ class Word(_Value):
     __slots__ = ("n", "letters")
 
     def __new__(cls, n: int, letters: Iterable[Letter] = ()):
-        _check_alphabet(n)
+        _check_integer(n, "alphabet size", 0)
         return cls._make(n, _checked_letters(letters, n))
 
     @classmethod
@@ -129,7 +130,7 @@ class Word(_Value):
         A cyclically reduced core repeats without cancellation, and a
         one-letter core only scales its exponent.
         """
-        k = operator.index(k)
+        _check_integer(k)
         core, conj = cyclic_reduce(self)
         if k < 0:
             core, k = inverse(core), -k
@@ -160,7 +161,7 @@ class CyclicWord(_Value):
     __slots__ = ("n", "letters")
 
     def __new__(cls, n: int, letters: Iterable[Letter] = ()):
-        _check_alphabet(n)
+        _check_integer(n, "alphabet size", 0)
         letters = _checked_letters(letters, n)
         if len(letters) >= 2 and letters[0].gen == letters[-1].gen:
             raise ValueError("first and last letter share a generator; not cyclically reduced")
@@ -173,14 +174,15 @@ class CyclicWord(_Value):
         return f"CyclicWord({self.n}, {body!r})"
 
 
-def _check_alphabet(n: int) -> None:
-    if n < 0:
-        raise ValueError("alphabet size must be nonnegative")
-
-
-def _check_integer(value: int, what: str = "exponent") -> None:
-    if not isinstance(value, int):
+def _check_integer(value: int, what: str = "exponent", lo: int | None = None,
+                   hi: int | None = None) -> None:
+    """TypeError unless ``value`` is an int other than a bool; ValueError outside lo..hi."""
+    if not isinstance(value, int) or value.__class__ is bool:
         raise TypeError(f"{what} {value!r} is not an exact integer")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{what} {value} out of range {lo}..{hi}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{what} must be {'nonnegative' if lo == 0 else f'>= {lo}'}, got {value}")
 
 
 def _least_rotation(seq: Sequence) -> Sequence:
@@ -246,12 +248,11 @@ def reduce_word(raw: Iterable[tuple[int, int]], n: int) -> Word:
     >>> str(reduce_word([(1, 1), (2, 1)], n=2))
     'a1 a2'
     """
-    _check_alphabet(n)
+    _check_integer(n, "alphabet size", 0)
     stack: list[Letter] = []
     for gen, exp in raw:
-        if not 1 <= gen <= n:
-            raise ValueError(f"generator index {gen} out of range 1..{n}")
-        if not isinstance(exp, int):
+        if not (gen.__class__ is exp.__class__ is int and 1 <= gen <= n):
+            _check_integer(gen, "generator index", 1, n)
             _check_integer(exp)
         if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
@@ -292,24 +293,31 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     >>> str(core), str(conj)
     ('a2', 'a1')
     """
-    letters = w.letters
-    lo, hi = 0, len(letters)  # the core is letters[lo:hi], the conjugator letters[:lo]
-    merged: tuple[Letter, ...] = ()
+    lo, core = _cyclic_core(w.letters)
+    return Word._make(w.n, core), Word._make(w.n, w.letters[:lo])
+
+
+def _cyclic_core(letters: tuple[Letter, ...], fold=None) -> tuple[int, tuple[Letter, ...]]:
+    """``(lo, core)``: conjugating by ``letters[:lo]`` leaves the cyclically reduced ``core``.
+
+    Matching end letters cancel, or merge into one letter rotated to the
+    end.  ``fold(gen, exp)``, when given, replaces a merged exponent first.
+    """
+    lo, hi = 0, len(letters)
     while hi - lo >= 2 and letters[lo].gen == letters[hi - 1].gen:
-        first, last = letters[lo], letters[hi - 1]
+        gen = letters[lo].gen
+        total = letters[lo].exp + letters[hi - 1].exp
+        if fold:
+            total = fold(gen, total)
         lo, hi = lo + 1, hi - 1
-        total = first.exp + last.exp
         if total:
-            # Ends merge instead of cancelling: rotate the first run inward.
-            merged = (Letter(first.gen, total),)
-            break
-    return Word._make(w.n, letters[lo:hi] + merged), Word._make(w.n, letters[:lo])
+            return lo, letters[lo:hi] + (Letter(gen, total),)
+    return lo, letters[lo:hi]
 
 
 def conjugacy_canonical(w: Word) -> CyclicWord:
     """Canonical cyclic form: invariant under free-group conjugation of w."""
-    core, _ = cyclic_reduce(w)
-    return CyclicWord._make(w.n, _least_rotation(core.letters))
+    return CyclicWord._make(w.n, _least_rotation(_cyclic_core(w.letters)[1]))
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
@@ -320,7 +328,7 @@ def are_conjugate(u: Word, v: Word) -> bool:
     """
     if u.n != v.n:
         raise ValueError(f"alphabet mismatch: {u.n} vs {v.n}")
-    return _is_rotation(cyclic_reduce(u)[0].letters, cyclic_reduce(v)[0].letters)
+    return _is_rotation(_cyclic_core(u.letters)[1], _cyclic_core(v.letters)[1])
 
 
 _TOKEN = re.compile(r"^a(\d+)(?:\^(-?\d+))?$")
