@@ -40,11 +40,13 @@ class Monomial(tuple):
 
     @classmethod
     def identity(cls, n: int) -> "Monomial":
+        _check_integer(n, "alphabet size", 0)
         return tuple.__new__(cls, (0,) * n)
 
     @classmethod
     def unit(cls, n: int, gen: int) -> "Monomial":
         """The generator monomial a_gen (1-based index)."""
+        _check_integer(n, "alphabet size", 0)
         _check_integer(gen, "generator index", 1, n)
         exps = [0] * n
         exps[gen - 1] = 1
@@ -243,6 +245,8 @@ def exponent_vector(w: Word, n: int | None = None) -> Monomial:
     """
     if n is None:
         n = w.n
+    else:
+        _check_integer(n, "alphabet size", 0)
     exps = [0] * n
     for let in w.letters:
         if let.gen > n:

@@ -187,8 +187,8 @@ def kernel_element(
     if not exponents or len(exponents) != len(factors):
         raise ValueError("need equally many exponents and words, at least one of each")
     _check_integer(level, "level", 0)
-    if any(m < level for m in exponents):
-        raise ValueError(f"all exponents must be >= level {level}")
+    for m in exponents:
+        _check_integer(m, "exponent", level)
     n = conjugator.n
     _check_integer(c, "distinguished generator", 1, n)
     if any(x.n != n for x in factors):

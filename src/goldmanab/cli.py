@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from . import chain, int_ideals, rat_ideals, selftest
+from . import chain, int_ideals, rat_ideals
 from .abelian import (ModuleElement, _exact_from_json, _json_shape, abelianize,
                       exponent_vector)
 from .bracket import bracket
@@ -177,6 +177,7 @@ def _cmd_chain_separate(args) -> tuple[dict, int]:
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
+    from . import selftest  # only this command loads the suites
     report = selftest.run_selftest(args.seed, args.scale)
     return report, 0 if report["all_passed"] else 1
 

@@ -30,9 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import add, mul, sub as subtract
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .abelian import ModuleElement, Monomial
 from .symplectic import SurfaceSignature, _pairing_row
@@ -42,7 +41,7 @@ MAX_EXHAUSTIVE_PAIRS = 10_000_000
 """The most pairs a criterion check may visit: (2r+1)^(2n) in a sweep, one per sample."""
 
 MAX_TABLE_ENTRIES = 100_000
-"""The most entries a table rule may hold, (2r+1)^n."""
+"""The most points a table rule's box may hold, (2r+1)^n; only non-default entries are stored."""
 
 MAX_FAMILY_TUPLES = 100_000
 """The most exception tuples a gcd family may hold in all, count*|K0| + count*(count-1)/2."""
@@ -69,9 +68,9 @@ def divides(d: int, x: int) -> bool:
 
 
 class GeometricSubmodule:
-    """Base for monomial-multiple submodules; subclasses supply the rule."""
+    """Base for monomial-multiple submodules; subclasses supply the rule and ``n``."""
 
-    n: int
+    __slots__ = ()
 
     def min_multiple(self, x: tuple[int, ...]) -> int:
         """Least positive m with m*x in the submodule, or 0 if none exists.
@@ -131,24 +130,20 @@ class GcdSubmodule(GeometricSubmodule, _Value):
         return f"GcdSubmodule(n={self.n}, exceptions={k!r})"
 
 
-class TableSubmodule(GeometricSubmodule):
+class TableSubmodule(GeometricSubmodule, _Value):
     """Rule given by an explicit finite table over the box [-radius, radius]^n.
 
     ``n`` >= 1, ``radius`` and the rule values are ints, not bools, and not
     negative.  Evaluation outside the box raises: the ideal criteria
     quantify over the whole monomial group, so sampled checking has to be
-    explicit about the domain it actually covered.
+    explicit about the domain it actually covered.  Only the values that
+    differ from ``default`` are stored, so equal rules compare equal.
     """
 
-    __slots__ = ("n", "radius", "values")
+    __slots__ = ("n", "radius", "default", "_entries")
 
-    def __init__(
-        self,
-        n: int,
-        radius: int,
-        values: dict[tuple[int, ...], int] | None = None,
-        default: int = 1,
-    ):
+    def __new__(cls, n: int, radius: int, values: dict[tuple[int, ...], int] | None = None,
+                default: int = 1):
         _check_integer(n, "tuple length", 1)
         _check_integer(radius, "radius", 0)
         _check_integer(default, "rule value", 0)
@@ -158,35 +153,32 @@ class TableSubmodule(GeometricSubmodule):
                 f"a table of radius {radius} on n = {n} has {side}^{n} entries, "
                 f"more than the cap of {MAX_TABLE_ENTRIES}"
             )
-        self.n = n
-        self.radius = radius
-        table: dict[tuple[int, ...], int] = {}
-        for t in _box(radius, n):
-            table[t] = default
+        entries: dict[tuple[int, ...], int] = {}
         for t, a in (values or {}).items():
             t = _exponent_tuple(t)
-            if len(t) != n or max(map(abs, t), default=0) > radius:
+            if len(t) != n or max(map(abs, t)) > radius:
                 raise ValueError(f"table key {t} outside the box")
             _check_integer(a, "rule value", 0)
-            table[t] = a
-        self.values = table
+            if a != default:
+                entries[t] = a
+        return cls._make(n, radius, default, entries)
 
     def min_multiple(self, x: tuple[int, ...]) -> int:
-        # The table holds exactly the tuples of the box.
-        a = self.values.get(x)
-        if a is None:
+        if not self.in_domain(x):
             raise ValueError(f"monomial {tuple(x)} outside the table box (radius {self.radius})")
-        return a
+        return self._entries.get(x, self.default)
 
     def in_domain(self, x: tuple[int, ...]) -> bool:
-        return x in self.values
+        return len(x) == self.n and max(map(abs, x)) <= self.radius
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.radius, self.default, frozenset(self._entries.items())))
 
     def __repr__(self) -> str:
         return f"TableSubmodule(n={self.n}, radius={self.radius})"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a sampled or exhaustive criterion check."""
 
     ok: bool
@@ -328,19 +320,19 @@ def _table_bracket_sweep(sig: SurfaceSignature, sub: TableSubmodule, radius: int
     # an in-box v with w or u = v+w outside it; the others form a box of u,
     # visited in the loop's order.  <v,w> = <v,u> costs one dot product with
     # v's row, and a violation at u is counted by the rank of w.
-    values, big, r = sub.values, sub.radius, min(radius, sub.radius)
-    box_size = (2 * radius + 1) ** sig.n
+    entries, default, big = sub._entries, sub.default, sub.radius
+    r, box_size = min(radius, big), (2 * radius + 1) ** sig.n
     checked = skipped = 0
     for v in _box(radius, sig.n):
-        a_v = values.get(v)
-        if a_v is None:
+        if max(map(abs, v)) > big:
             skipped += box_size
             continue
+        a_v = entries.get(v, default)
         row = _pairing_row(sig.genus, v)
         ranges = [range(max(e - r, -big), min(e + r, big) + 1) for e in v]
         for j, u in enumerate(itertools.product(*ranges)):
             pairing = sum(map(mul, row, u))
-            a_u = values[u]
+            a_u = entries.get(u, default)
             if not divides(a_u, pairing * a_v):
                 w = tuple(map(subtract, u, v))
                 return _bracket_violation(v, w, pairing, a_v, a_u, checked + j + 1,

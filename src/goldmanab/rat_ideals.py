@@ -16,7 +16,6 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -108,8 +107,7 @@ class Part(NamedTuple):
     coeff: Fraction
 
 
-@dataclass(frozen=True)
-class CentralDecomposition:
+class CentralDecomposition(NamedTuple):
     """Support split into central-translation classes plus a central rest."""
 
     parts: tuple[Part, ...]

@@ -10,12 +10,10 @@ surface pair to zero with everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from .abelian import Monomial, exponent_vector
-from .words import Word, _check_integer
+from .words import Word, _check_integer, _Value
 
 MAX_RANK = 1_000_000
 """The largest rank n a surface may have.
@@ -29,20 +27,20 @@ tests and the benchmark have n <= 6, far below it.
 """
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
+class SurfaceSignature(_Value):
     """Genus plus boundary count; ``boundary == 0`` means a closed surface."""
 
-    genus: int
-    boundary: int = 0
+    __slots__ = ("genus", "boundary", "n")
 
-    def __post_init__(self):
-        _check_integer(self.boundary, "boundary count", 0)
-        _check_integer(self.genus, "genus", 0 if self.boundary else 1)  # closed: genus >= 1
-        if self.n < 1:
+    def __new__(cls, genus: int, boundary: int = 0):
+        _check_integer(boundary, "boundary count", 0)
+        _check_integer(genus, "genus", 0 if boundary else 1)  # closed: genus >= 1
+        n = 2 * genus + boundary - 1 if boundary else 2 * genus
+        if n < 1:
             raise ValueError("surface must have n >= 1 (the disk is excluded)")
-        if self.n > MAX_RANK:
-            raise ValueError(f"rank n = {self.n} exceeds MAX_RANK = {MAX_RANK}")
+        if n > MAX_RANK:
+            raise ValueError(f"rank n = {n} exceeds MAX_RANK = {MAX_RANK}")
+        return cls._make(genus, boundary, n)
 
     @classmethod
     def closed(cls, genus: int) -> "SurfaceSignature":
@@ -57,16 +55,13 @@ class SurfaceSignature:
     def is_closed(self) -> bool:
         return self.boundary == 0
 
-    @cached_property
-    def n(self) -> int:
-        if self.boundary == 0:
-            return 2 * self.genus
-        return 2 * self.genus + self.boundary - 1
-
     def describe(self) -> str:
         if self.is_closed:
             return f"closed genus {self.genus}"
         return f"genus {self.genus} with {self.boundary} boundary components"
+
+    def __repr__(self) -> str:
+        return f"SurfaceSignature(genus={self.genus}, boundary={self.boundary})"
 
 
 def _require_length(sig: SurfaceSignature, x: Monomial) -> None:

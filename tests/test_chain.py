@@ -379,7 +379,7 @@ class TestKernelElement:
             kernel_element(0, [], [], Word.identity(3), 1)
 
     def test_exponent_below_level_forbidden(self):
-        with pytest.raises(ValueError, match=">= level"):
+        with pytest.raises(ValueError, match="exponent must be >= 3, got 2"):
             kernel_element(3, [2], [word("a2")], Word.identity(3), 1)
 
     def test_length_mismatch(self):

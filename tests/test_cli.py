@@ -404,6 +404,14 @@ class TestSelftestCommand:
         assert runs[0].stdout == runs[1].stdout
 
 
+class TestStartup:
+    def test_cli_import_loads_neither_dataclasses_nor_selftest(self):
+        code = ("import sys, goldmanab.cli; print(sorted("
+                "{'dataclasses', 'inspect', 'goldmanab.selftest'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 class TestInjectedFault:
     def test_flipped_pairing_sign_breaks_jacobi_suite(self, monkeypatch):
         # Mutation check: flip the sign of <a1, a2> inside the bracket's

@@ -6,7 +6,7 @@ import pytest
 
 from goldmanab.abelian import ModuleElement, Monomial
 from goldmanab.chain import project_word
-from goldmanab.int_ideals import GcdSubmodule
+from goldmanab.int_ideals import GcdSubmodule, TableSubmodule
 from goldmanab.rat_ideals import PrimitiveLabel, RationalIdeal
 from goldmanab.symplectic import SurfaceSignature
 from goldmanab.words import conjugacy_canonical, parse_word
@@ -26,6 +26,8 @@ def _values():
         label,
         RationalIdeal([label], [ModuleElement("Q", [(Monomial((0, 0, 3)), Fraction(1, 3))])]),
         GcdSubmodule(2, [(1, 0), (2, 2)]),
+        SurfaceSignature.with_boundary(1, 2),
+        TableSubmodule(2, 1, {(1, -1): 3}),
     ]
 
 

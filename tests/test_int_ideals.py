@@ -53,6 +53,9 @@ class TestGcdRule:
         sub = GcdSubmodule(2, {(1, 0)})
         assert sub.min_multiple(Monomial((0, 0))) == 0
 
+    def test_has_no_instance_dict(self):
+        assert not hasattr(GcdSubmodule(2), "__dict__")
+
     def test_zero_tuple_in_exceptions(self):
         sub = GcdSubmodule(2, {(0, 0)})
         assert sub.min_multiple(Monomial((0, 0))) == 1
@@ -116,6 +119,14 @@ class TestTableRule:
         with pytest.raises(TypeError, match="exact integer"):
             TableSubmodule(2, 1, default=1.5)
 
+    def test_equal_tables_compare_and_hash_equal(self):
+        # Entries equal to the default are not stored, so they do not count.
+        a, b = TableSubmodule(2, 1), TableSubmodule(2, 1, {(0, 0): 1, (1, -1): 1})
+        assert a == b and hash(a) == hash(b)
+        assert a != TableSubmodule(2, 1, {(1, -1): 2}) and a != TableSubmodule(2, 1, default=2)
+        with pytest.raises(AttributeError):
+            a.radius = 5
+
 
 class TestTableSizeCap:
     def test_table_over_the_cap_is_refused_before_allocation(self):
@@ -136,7 +147,7 @@ class TestTableSizeCap:
     def test_largest_bench_table_fits(self):
         # Radius 2 on n = 5: the largest table the benchmark builds.
         assert 5 ** 5 <= int_ideals.MAX_TABLE_ENTRIES
-        assert len(TableSubmodule(5, 2).values) == 5 ** 5
+        assert TableSubmodule(5, 2).min_multiple((2, -2, 2, -2, 2)) == 1
 
 
 class TestBracketClosureCheck:

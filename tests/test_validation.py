@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from goldmanab.abelian import ModuleElement, Monomial, generator_exponent_sum
+from goldmanab.abelian import ModuleElement, Monomial, exponent_vector, generator_exponent_sum
 from goldmanab.chain import QuotientWord, kernel_element, project_word, separation_level
 from goldmanab.cli import main
 from goldmanab.int_ideals import (
@@ -45,6 +45,9 @@ ENTRY_POINTS = {
     "Word power": (lambda x: W ** x, "exponent", ()),
     "Monomial exponent": (lambda x: Monomial((0, x)), "exponent", ()),
     "Monomial.unit": (lambda x: Monomial.unit(2, x), "generator index", (3,)),
+    "Monomial.unit alphabet": (lambda x: Monomial.unit(x, 1), "alphabet size", (-1,)),
+    "Monomial.identity": (lambda x: Monomial.identity(x), "alphabet size", (-1,)),
+    "exponent_vector alphabet": (lambda x: exponent_vector(W, x), "alphabet size", (-1,)),
     "generator_exponent_sum": (lambda x: generator_exponent_sum(W, x), "generator index", (0,)),
     "genus": (lambda x: SurfaceSignature(x, 0), "genus", (0,)),
     "boundary count": (lambda x: SurfaceSignature(1, x), "boundary count", (-1,)),
@@ -55,6 +58,7 @@ ENTRY_POINTS = {
     "project_word level": (lambda x: project_word(W, x, 1), "level", (-1,)),
     "project_word c": (lambda x: project_word(W, 1, x), "distinguished generator", (3,)),
     "kernel_element level": (lambda x: kernel_element(x, [5], [W], W, 1), "level", (-1,)),
+    "kernel_element exponent": (lambda x: kernel_element(1, [x], [W], W, 1), "exponent", (0,)),
     "kernel_element c": (
         lambda x: kernel_element(1, [5], [W], W, x), "distinguished generator", (3,)),
     "separation_level c": (lambda x: separation_level(W, V, x, 5), "distinguished generator", (0,)),
