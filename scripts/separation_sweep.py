@@ -42,9 +42,7 @@ def main() -> int:
         if budget > args.max_budget or are_conjugate(a, b):
             continue
         done += 1
-        bound = 0
-        while (1 << bound) <= 2 * budget:
-            bound += 1
+        bound = (2 * budget).bit_length()
         level = separation_level(a, b, args.c, bound)
         m = max((abs(exp) for w in (a, b) for gen, exp in cyclic_reduce(w)[0].letters
                  if gen == args.c), default=0)

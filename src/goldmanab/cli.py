@@ -80,7 +80,8 @@ def _cmd_ab(args) -> tuple[dict, int]:
         coef_strings = [c.strip() for c in args.coefs.split(",")]
     if len(coef_strings) != len(words):
         raise ValueError("need exactly one coefficient per word")
-    ring = args.ring or ("Q" if any("/" in c for c in coef_strings) else "Z")
+    integers = all(c.lstrip("+-").replace("_", "").isdecimal() for c in coef_strings)
+    ring = args.ring or ("Z" if integers else "Q")
     coefs = [_exact_from_json(c, ring) for c in coef_strings]
     return abelianize(list(zip(coefs, words)), sig.n, ring=ring).to_json_obj(), 0
 

@@ -15,30 +15,34 @@ ways:
 - for an exhaustive bracket-closure check of a table, by a sweep over the
   partners whose points lie in the table's box, the skipped pairs being
   counted arithmetically;
-- otherwise, by the pair loop: each first point v with its partners, the
-  whole box when exhaustive and one drawn w per sample, with what depends
-  on v alone computed once per v.
+- otherwise, by the pair loop, which tests each pair (v, w) on its own:
+  every pair of the box when exhaustive, one drawn pair per sample.
 
 All three give the report the pair loop would give, counts included.
-Sampled coordinates are drawn exactly as ``Random(seed).randrange(-r, r + 1)``
-would draw them.  Every check first validates its radius and sample count
-(ints, not bools), capping sweeps and samples at MAX_EXHAUSTIVE_PAIRS pairs.
+Sampled pairs draw v and then w, each coordinate by
+``Random(seed).randrange(-r, r + 1)``.  Every check first validates its
+radius and sample count (ints, not bools), capping sweeps and samples at
+MAX_EXHAUSTIVE_PAIRS pairs and the coordinates drawn at MAX_SAMPLED_DRAWS.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from operator import add, mul, sub as subtract
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .abelian import ModuleElement, Monomial
-from .symplectic import SurfaceSignature, _pairing_row
+from .symplectic import SurfaceSignature, _pairing_row, symplectic_product
 from .words import _check_integer, _Value
 
 MAX_EXHAUSTIVE_PAIRS = 10_000_000
 """The most pairs a criterion check may visit: (2r+1)^(2n) in a sweep, one per sample."""
+
+MAX_SAMPLED_DRAWS = 2 * 10**8
+"""The most coordinates a sampled check may draw, 2*n per sample: 10^7 samples up to n = 10."""
 
 MAX_TABLE_ENTRIES = 100_000
 """The most points a table rule's box may hold, (2r+1)^n; only non-default entries are stored."""
@@ -175,7 +179,9 @@ class TableSubmodule(GeometricSubmodule, _Value):
         return hash((self.n, self.radius, self.default, frozenset(self._entries.items())))
 
     def __repr__(self) -> str:
-        return f"TableSubmodule(n={self.n}, radius={self.radius})"
+        values = dict(sorted(self._entries.items()))
+        return (f"TableSubmodule(n={self.n}, radius={self.radius}, values={values!r}, "
+                f"default={self.default})")
 
 
 class CheckReport(NamedTuple):
@@ -188,14 +194,6 @@ class CheckReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _draws(rng: random.Random, radius: int) -> Iterator[int]:
-    # rng.randrange(-radius, radius + 1), draw for draw: CPython draws
-    # width.bit_length() bits and redraws while the value is >= width.
-    width = 2 * radius + 1
-    bits = map(rng.getrandbits, itertools.repeat(width.bit_length()))
-    return (x - radius for x in bits if x < width)
 
 
 def _pair_count(n: int, radius: int, samples: Optional[int], seed: Optional[int]) -> int:
@@ -218,6 +216,11 @@ def _pair_count(n: int, radius: int, samples: Optional[int], seed: Optional[int]
         raise ValueError(
             f"{samples} samples exceed the cap of {MAX_EXHAUSTIVE_PAIRS} pairs per check"
         )
+    if 2 * n * samples > MAX_SAMPLED_DRAWS:
+        raise ValueError(
+            f"{samples} samples on n = {n} draw {2 * n * samples} coordinates, "
+            f"more than the cap of {MAX_SAMPLED_DRAWS}"
+        )
     if seed is None:
         raise ValueError("sampled checks require an explicit seed")
     return samples
@@ -231,22 +234,17 @@ def _box_rank(t: tuple[int, ...], radius: int) -> int:
     return rank
 
 
-def _pair_stream(
+def _pairs(
     n: int, radius: int, samples: Optional[int], seed: Optional[int]
-) -> Iterator[tuple[tuple[int, ...], Sequence[tuple[int, ...]]]]:
-    # Each v with its partners: the whole box when exhaustive, one w per
-    # draw when sampled.  Plain int tuples of length n by construction: the
-    # checks need not validate them again.  The arguments have passed
-    # _pair_count.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Every pair of the box when exhaustive; else v and then w per sample,
+    # each coordinate Random(seed).randrange(-radius, radius + 1).  Plain
+    # int tuples of length n.  The arguments have passed _pair_count.
     if samples is None:
-        box = list(_box(radius, n))
-        for v in box:
-            yield v, box
-        return
-    draws = _draws(random.Random(seed), radius)
-    for _ in range(samples):
-        v = tuple(itertools.islice(draws, n))
-        yield v, (tuple(itertools.islice(draws, n)),)
+        return itertools.product(_box(radius, n), repeat=2)
+    draws = iter(functools.partial(random.Random(seed).randrange, -radius, radius + 1), None)
+    return ((tuple(itertools.islice(draws, n)), tuple(itertools.islice(draws, n)))
+            for _ in range(samples))
 
 
 def _bracket_violation(
@@ -267,11 +265,12 @@ def bracket_closure_check(
     """Check the bracket-closure divisibility rule(v*w) | <v,w> * rule(v).
 
     Pairs (v, w) are drawn from the box [-radius, radius]^n (exhaustively
-    when ``samples`` is None); pairs whose product leaves the rule's domain
-    are skipped and counted.  The first violation is reported.  A
-    ``radius`` or ``samples`` not an int (or a bool) raises TypeError; a
-    negative one, or more than MAX_EXHAUSTIVE_PAIRS pairs (exhaustive) or
-    samples, raises ValueError, on every rule and before any work.
+    when ``samples`` is None); pairs with v, w or their product outside the
+    rule's domain are skipped and counted.  The first violation is
+    reported.  A ``radius`` or ``samples`` not an int (or a bool) raises
+    TypeError; a negative one, more than MAX_EXHAUSTIVE_PAIRS pairs
+    (exhaustive) or samples, or more than MAX_SAMPLED_DRAWS coordinates
+    drawn, raises ValueError, on every rule and before any work.
 
     The gcd rule is decided without a sweep, by this proof: if v+w is in K
     the rule there is 1.  Otherwise <v,w> = <v, v+w>, because <v,v> = 0,
@@ -280,9 +279,7 @@ def bracket_closure_check(
 
     An exhaustive table check visits only the partners w with w and v+w in
     the table's box, a product of per-coordinate ranges, and counts the
-    others as skipped.  Elsewhere the domain test, the rule and the pairing
-    row of ``v`` are computed once per ``v``; a pair costs its product, one
-    dot product with that row, the lookups and the divisibility test.
+    others as skipped.  Other checks go through the pair loop.
     """
     pairs = _pair_count(sig.n, radius, samples, seed)
     exact = type(sub) is GcdSubmodule or (samples is None and type(sub) is TableSubmodule)
@@ -295,22 +292,16 @@ def bracket_closure_check(
         return _table_bracket_sweep(sig, sub, radius)
     in_domain, rule = sub.in_domain, sub.min_multiple
     checked = skipped = 0
-    for v, partners in _pair_stream(sig.n, radius, samples, seed):
-        if not in_domain(v):
-            skipped += len(partners)
+    for v, w in _pairs(sig.n, radius, samples, seed):
+        product = tuple(map(add, v, w))
+        if not (in_domain(v) and in_domain(w) and in_domain(product)):
+            skipped += 1
             continue
-        a_v = rule(v)
-        row = _pairing_row(sig.genus, v)
-        for w in partners:
-            product = tuple(map(add, v, w))
-            if not (in_domain(w) and in_domain(product)):
-                skipped += 1
-                continue
-            checked += 1
-            pairing = sum(map(mul, row, w))
-            a_vw = rule(product)
-            if not divides(a_vw, pairing * a_v):
-                return _bracket_violation(v, w, pairing, a_v, a_vw, checked, skipped)
+        checked += 1
+        pairing = symplectic_product(sig, v, w)
+        a_v, a_vw = rule(v), rule(product)
+        if not divides(a_vw, pairing * a_v):
+            return _bracket_violation(v, w, pairing, a_v, a_vw, checked, skipped)
     return CheckReport(True, None, checked, skipped)
 
 
@@ -362,8 +353,7 @@ def gcd_divisibility_check(
     gcd(k_{2t-1}, k_{2t}), so it divides each product and the factor.  At
     genus 0 and at k = 0 both sides are 0.
 
-    Other rules go through the pair loop, with the domain test, the rule
-    and the pair gcds of ``k`` computed once per ``k``.
+    Other rules go through the pair loop.
     """
     pairs = _pair_count(sig.n, radius, samples, seed)
     if type(sub) is GcdSubmodule:
@@ -372,25 +362,19 @@ def gcd_divisibility_check(
         if sub.n != sig.n:
             return CheckReport(True, None, 0, pairs)
         return CheckReport(True, None, pairs, 0)
-    in_domain, rule, g2 = sub.in_domain, sub.min_multiple, 2 * sig.genus
+    in_domain, rule = sub.in_domain, sub.min_multiple
     checked = skipped = 0
-    for k, partners in _pair_stream(sig.n, radius, samples, seed):
-        if not in_domain(k):
-            skipped += len(partners)
+    for k, i in _pairs(sig.n, radius, samples, seed):
+        if not (in_domain(k) and in_domain(i)):
+            skipped += 1
             continue
-        a_k = rule(k)
-        k_gcds = list(map(math.gcd, k[0:g2:2], k[1:g2:2]))
-        for i in partners:
-            if not in_domain(i):
-                skipped += 1
-                continue
-            checked += 1
-            a_i = rule(i)
-            factor = math.gcd(*map(mul, k_gcds, map(math.gcd, i[0:g2:2], i[1:g2:2])))
-            if not divides(a_k, a_i * factor):
-                cx = {"k": list(k), "i": list(i), "rule_k": a_k, "rule_i": a_i,
-                      "gcd_factor": factor}
-                return CheckReport(False, cx, checked, skipped)
+        checked += 1
+        a_k, a_i = rule(k), rule(i)
+        factor = math.gcd(*(math.gcd(*k[t:t + 2]) * math.gcd(*i[t:t + 2])
+                            for t in range(0, 2 * sig.genus, 2)))
+        if not divides(a_k, a_i * factor):
+            cx = {"k": list(k), "i": list(i), "rule_k": a_k, "rule_i": a_i, "gcd_factor": factor}
+            return CheckReport(False, cx, checked, skipped)
     return CheckReport(True, None, checked, skipped)
 
 

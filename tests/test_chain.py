@@ -1,4 +1,7 @@
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -486,3 +489,13 @@ class TestLevelSize:
         y = project_word(word("a3 a1^3 a2 a1^-5"), self.HUGE, 1)
         assert conjugate_in_quotient(x, y)
         assert not conjugate_in_quotient(x, project_word(word("a1^3 a2 a1^-4 a3"), self.HUGE, 1))
+
+
+class TestSeparationSweepScript:
+    def test_small_sweep_holds_both_bounds(self):
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "separation_sweep.py"
+        proc = subprocess.run([sys.executable, str(script), "--seed", "7", "--pairs", "300"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("300 non-conjugate pairs")
+        assert "BOUND VIOLATED" not in proc.stdout

@@ -55,6 +55,14 @@ class TestComputeCommands:
         _, out, _ = run_cli(capsys, "ab", "--closed", "1", "--coefs", "1/2", "a1")
         assert json.loads(out) == {"ring": "Q", "terms": [{"exp": [1, 0], "coef": "1/2"}]}
 
+    def test_ab_infers_q_from_any_non_integer_coefficient(self, capsys):
+        _, out, _ = run_cli(capsys, "ab", "--closed", "1", "--coefs", "0.5", "a1")
+        assert json.loads(out) == {"ring": "Q", "terms": [{"exp": [1, 0], "coef": "1/2"}]}
+        _, out, _ = run_cli(capsys, "ab", "--closed", "1", "--coefs", "1_000,-2", "a1", "a2")
+        assert json.loads(out)["ring"] == "Z"
+        assert_input_error(capsys, "ab", "--closed", "1", "--ring", "Z", "--coefs", "0.5", "a1")
+        assert_input_error(capsys, "ab", "--closed", "1", "--coefs=1/0", "a1")
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "text", "pair", "--closed", "1", "a1", "a2")
         assert code == 0
@@ -570,3 +578,18 @@ class TestLimits:
     def test_rank_over_the_cap(self, capsys, surface):
         err = assert_input_error(capsys, "pair", *surface, "a1", "a1")
         assert f"exceeds MAX_RANK = {MAX_RANK}" in err
+
+    def test_sampled_check_drawing_too_many_coordinates(self):
+        # A radius-0 table fits the table cap at any n; 10^7 samples on
+        # n = 10^6 would draw 2*10^13 coordinates.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldmanab", "ideal-check", "--closed", "500000",
+             "--rule", "table", "--table", '{"radius": 0}', "--box", "1",
+             "--samples", "10000000", "--seed", "1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert f"more than the cap of {int_ideals.MAX_SAMPLED_DRAWS}" in proc.stderr

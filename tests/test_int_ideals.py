@@ -127,6 +127,12 @@ class TestTableRule:
         with pytest.raises(AttributeError):
             a.radius = 5
 
+    def test_repr_tells_unequal_tables_apart(self):
+        a, b = TableSubmodule(2, 1), TableSubmodule(2, 1, {(1, 0): 2})
+        assert repr(a) == "TableSubmodule(n=2, radius=1, values={}, default=1)"
+        assert repr(b) == "TableSubmodule(n=2, radius=1, values={(1, 0): 2}, default=1)"
+        assert eval(repr(b)) == b
+
 
 class TestTableSizeCap:
     def test_table_over_the_cap_is_refused_before_allocation(self):
@@ -714,14 +720,45 @@ class TestSampledWorkCap:
         with pytest.raises(ValueError, match="41 samples exceed the cap of 40"):
             check(TORUS, GcdSubmodule(2), 3, samples=41, seed=1)
 
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_draw_cap_boundary(self, check, monkeypatch):
+        # 2*n coordinates per sample: 4 on the torus.
+        monkeypatch.setattr(int_ideals, "MAX_SAMPLED_DRAWS", 40)
+        report = check(TORUS, TableSubmodule(2, 1), 3, samples=10, seed=1)
+        assert report.checked + report.skipped == 10
+        _refuse_generators(monkeypatch)
+        for sub in (TableSubmodule(2, 1), GcdSubmodule(2)):
+            with pytest.raises(ValueError, match="11 samples on n = 2 draw 44 coordinates, "
+                                                 "more than the cap of 40"):
+                check(TORUS, sub, 3, samples=11, seed=1)
 
-class TestDrawStream:
-    @pytest.mark.parametrize("radius", [0, 1, 2, 8, 2**31, 2**40])
-    def test_draws_equal_randrange(self, radius):
-        # Width 1 rejects half its draws; widths above 32 bits take several
-        # words.  A Python whose randrange draws differently fails here.
-        ours, reference = random.Random(17), random.Random(17)
-        stream = int_ideals._draws(ours, radius)
-        got = [next(stream) for _ in range(300)]
-        assert got == [reference.randrange(-radius, radius + 1) for _ in range(300)]
-        assert ours.getstate() == reference.getstate()
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    def test_draw_cap_admits_the_sample_cap_up_to_n_10(self, check):
+        # The gcd rule is decided by proof, so the largest admitted check runs at once.
+        samples = MAX_EXHAUSTIVE_PAIRS
+        assert check(SurfaceSignature.closed(5), GcdSubmodule(10), 3, samples, 1).checked == samples
+        with pytest.raises(ValueError, match=f"cap of {int_ideals.MAX_SAMPLED_DRAWS}"):
+            check(SurfaceSignature.with_boundary(5, 2), GcdSubmodule(11), 3, samples, 1)
+
+
+class TestSampledDraws:
+    @pytest.mark.parametrize("check", [bracket_closure_check, gcd_divisibility_check])
+    @pytest.mark.parametrize("radius", [0, 1, 8, 2**40])
+    def test_each_sample_draws_2n_coordinates(self, check, radius, monkeypatch):
+        # Width 1 still consumes random bits; widths above 32 bits take
+        # several words.  Points outside the table box are drawn and skipped.
+        sig, samples = SurfaceSignature.with_boundary(1, 2), 50
+        reference = random.Random(17)
+        for _ in range(2 * sig.n * samples):
+            reference.randrange(-radius, radius + 1)
+        made = []
+
+        class Recorder(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(int_ideals.random, "Random", Recorder)
+        report = check(sig, TableSubmodule(sig.n, 1), radius, samples=samples, seed=17)
+        assert report.ok and report.checked + report.skipped == samples
+        assert [r.getstate() for r in made] == [reference.getstate()]
