@@ -146,7 +146,8 @@ class ModuleElement(_Value):
     def __new__(cls, ring: str, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
         if ring not in RINGS:
             raise ValueError(f"unknown ring {ring!r}")
-        terms = [(mono, _check_coefficient(ring, coef)) for mono, coef in terms]
+        terms = [(mono if mono.__class__ is Monomial else Monomial(mono),
+                  _check_coefficient(ring, coef)) for mono, coef in terms]
         if len({len(mono) for mono, _ in terms}) > 1:
             raise ValueError("mixed monomial lengths")
         return cls._make(ring, _merge_terms(terms))

@@ -15,7 +15,7 @@ from collections import defaultdict
 from fractions import Fraction
 from operator import add, mul
 
-from .abelian import Coefficient, ModuleElement, Monomial
+from .abelian import ModuleElement, Monomial
 from .symplectic import SurfaceSignature, _pairing_row, _require_length
 
 
@@ -28,13 +28,7 @@ def bracket_monomials(
     >>> bracket_monomials(sig, Monomial((2, 1)), Monomial((1, 3))).terms()
     [(Monomial((3, 4)), 5)]
     """
-    _require_length(sig, x)
-    _require_length(sig, y)
-    p = sum(map(mul, _pairing_row(sig.genus, x), y))
-    if p == 0:
-        return ModuleElement.zero(ring)
-    coef: Coefficient = Fraction(p) if ring == "Q" else p
-    return ModuleElement.single(ring, x * y, coef)
+    return bracket(sig, ModuleElement.single(ring, x), ModuleElement.single(ring, y))
 
 
 def _numerators(u: ModuleElement) -> tuple[list[tuple[Monomial, int]], int]:
@@ -54,8 +48,7 @@ def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> Module
     >>> bracket(sig, u, v).terms()
     [(Monomial((1, 1)), Fraction(1, 3))]
     """
-    if u.ring != v.ring:
-        raise ValueError(f"ring mismatch: {u.ring} vs {v.ring}")
+    u._require_same_ring(v)
     if not (u._terms and v._terms):
         return ModuleElement._make(u.ring, {})
     # All monomials of an element share one length, so one term tells.

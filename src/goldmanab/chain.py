@@ -51,6 +51,8 @@ def symmetric_residue(exp: int, level: int) -> int:
     >>> [symmetric_residue(e, 2) for e in range(-4, 5)]
     [0, 1, 2, -1, 0, 1, 2, -1, 0]
     """
+    _check_integer(exp)
+    _check_integer(level, "level", 0)
     if exp.bit_length() < level:  # |exp| < 2^(level-1): already in range
         return exp
     modulus = 1 << level
@@ -240,4 +242,5 @@ def separation_level(a: Word, b: Word, c: int, n_max: int) -> Optional[int]:
 
 def total_c_exponent(w: Word, c: int) -> int:
     """Sum of |exp| over the c-letters of a word."""
+    _check_integer(c, "distinguished generator", 1, w.n)
     return sum(abs(exp) for gen, exp in w.letters if gen == c)

@@ -18,8 +18,8 @@ import sys
 from . import chain, int_ideals, rat_ideals
 from .abelian import (ModuleElement, _exact_from_json, _json_shape, abelianize,
                       exponent_vector)
-from .bracket import bracket
-from .symplectic import SurfaceSignature, center_generators, symplectic_product
+from .bracket import bracket_monomials
+from .symplectic import SurfaceSignature, center_generators, intersection_pairing
 from .words import _check_integer, are_conjugate, parse_word
 
 
@@ -64,11 +64,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_bracket(args) -> tuple[dict, int]:
     sig = _surface(args)
-    u = abelianize([(1, parse_word(args.word1, sig.n))], sig.n)
-    v = abelianize([(1, parse_word(args.word2, sig.n))], sig.n)
-    if args.ring == "Q":
-        u, v = u.to_rational(), v.to_rational()
-    return bracket(sig, u, v).to_json_obj(), 0
+    x, y = (exponent_vector(parse_word(text, sig.n), sig.n) for text in (args.word1, args.word2))
+    return bracket_monomials(sig, x, y, args.ring).to_json_obj(), 0
 
 
 def _cmd_ab(args) -> tuple[dict, int]:
@@ -88,9 +85,8 @@ def _cmd_ab(args) -> tuple[dict, int]:
 
 def _cmd_pair(args) -> tuple[dict, int]:
     sig = _surface(args)
-    x = exponent_vector(parse_word(args.word1, sig.n), sig.n)
-    y = exponent_vector(parse_word(args.word2, sig.n), sig.n)
-    return {"value": str(symplectic_product(sig, x, y))}, 0
+    u, v = parse_word(args.word1, sig.n), parse_word(args.word2, sig.n)
+    return {"value": str(intersection_pairing(sig, u, v))}, 0
 
 
 def _cmd_center(args) -> tuple[dict, int]:

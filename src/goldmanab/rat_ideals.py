@@ -20,7 +20,8 @@ from fractions import Fraction
 from operator import attrgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import ModuleElement, Monomial, _exact_from_json, _json_shape, _merge_terms
+from .abelian import (ModuleElement, Monomial, _check_coefficient, _exact_from_json, _json_shape,
+                      _merge_terms)
 from .bracket import bracket
 from .symplectic import SurfaceSignature, _require_length, is_central, symplectic_product
 from .words import _Value
@@ -37,7 +38,8 @@ class PrimitiveLabel(_Value):
     __slots__ = ("pairs",)
 
     def __new__(cls, pairs: Iterable[tuple[Monomial, Fraction]]):
-        pairs = tuple(sorted(((m, Fraction(q)) for m, q in pairs), key=lambda p: p[0]))
+        pairs = tuple(sorted(((m, _check_coefficient("Q", q)) for m, q in pairs),
+                             key=lambda p: p[0]))
         if not pairs:
             raise ValueError("a label needs at least one pair")
         if len({m for m, _ in pairs}) != len(pairs):
@@ -61,7 +63,9 @@ class PrimitiveLabel(_Value):
         component is invariant under both, so only the canonical class
         matters.
         """
-        pairs = [(m, Fraction(q)) for m, q in pairs]
+        pairs = [(m, _check_coefficient("Q", q)) for m, q in pairs]
+        if not pairs:
+            raise ValueError("a label needs at least one pair")
         for m, q in pairs:
             if not is_central(sig, m):
                 raise ValueError(f"label monomial {tuple(m)} is not central")
@@ -201,11 +205,8 @@ def label_bracket_identity_holds(
 _Vector = dict[Monomial, Fraction]
 
 
-def _as_vector(u: ModuleElement) -> _Vector:
-    return {m: Fraction(c) for m, c in u.terms()}
-
-
 def _reduce_vector(v: _Vector, basis: Sequence[tuple[Monomial, _Vector]]) -> _Vector:
+    """v reduced by each (pivot, row) in turn, as a new dict: v itself is not changed."""
     out = dict(v)
     for pivot, row in basis:
         c = out.get(pivot)
@@ -247,9 +248,13 @@ class RationalIdeal(_Value):
         labels: Iterable[PrimitiveLabel] = (),
         central_basis: Iterable[ModuleElement] = (),
     ):
-        rows = _rref(_as_vector(u) for u in central_basis)
+        labels = frozenset(labels)
+        for label in labels:
+            if not isinstance(label, PrimitiveLabel):
+                raise TypeError(f"an ideal's labels must be PrimitiveLabels, got {label!r}")
+        rows = _rref(u.to_rational()._terms for u in central_basis)
         basis = tuple(ModuleElement._make("Q", row) for _, row in rows)
-        return cls._make(frozenset(labels), basis)
+        return cls._make(labels, basis)
 
     def sorted_labels(self) -> list[PrimitiveLabel]:
         return sorted(self.labels, key=attrgetter("pairs"))

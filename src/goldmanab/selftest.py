@@ -4,10 +4,9 @@ Every property is one row of ``PROPERTIES``, declared by ``@_prop`` on its
 check.  ``run_selftest`` draws each property's samples from a
 ``random.Random`` seeded by a stable string derived from the run seed, the
 suite and the property name, so a report is a pure function of
-(seed, scale).  A check ``check(rng, i)`` tests sample ``i`` and returns
-``None`` or a counterexample; a whole-run check ``check(rng, count)`` tests
-all its samples at once.  Counterexamples made of words or elements are
-greedily minimized while they keep failing.
+(seed, scale).  Every check ``check(rng, i)`` tests sample ``i`` and
+returns ``None`` or a counterexample.  Counterexamples made of words or
+elements are greedily minimized while they keep failing.
 """
 
 from __future__ import annotations
@@ -59,17 +58,16 @@ class Property(NamedTuple):
     suite: str
     name: str
     base: int  # samples at scale 1
-    check: Callable[[random.Random, int], Optional[dict]]
-    whole: bool  # check(rng, count) runs every sample; else check(rng, i) runs sample i
+    check: Callable[[random.Random, int], Optional[dict]]  # check(rng, i) tests sample i
 
 
 PROPERTIES: list[Property] = []
 """Every property in report order; the rows of a suite are contiguous."""
 
 
-def _prop(suite: str, name: str, base: int, whole: bool = False):
+def _prop(suite: str, name: str, base: int):
     def declare(check):
-        PROPERTIES.append(Property(suite, name, base, check, whole))
+        PROPERTIES.append(Property(suite, name, base, check))
         return check
 
     return declare
@@ -461,13 +459,10 @@ def _(rng, i):
         return {"sig": sig.describe(), "element": u.to_json_obj()}
 
 
-@_prop("rat_ideals", "closed_classification", 200, whole=True)
-def _(rng, count):
-    samples = max(1, count // 2)
-    if not all(
-        rat_ideals.closed_surface_classification_check(sig, rng, samples=samples)
-        for sig in (CLOSED_1, CLOSED_2)
-    ):
+@_prop("rat_ideals", "closed_classification", 200)
+def _(rng, i):
+    sig = (CLOSED_1, CLOSED_2)[i % 2]
+    if not rat_ideals.closed_surface_classification_check(sig, rng, samples=1):
         return {"reason": "closure escaped the three closed-surface forms"}
 
 
@@ -519,15 +514,15 @@ def _(rng, i):
         return {"level": level, "word": str(witness)}
 
 
-@_prop("chain", "strict_chain", 7, whole=True)
-def _(rng, count):
-    for level in range(7):
-        wrap = reduce_word([(_CHAIN_C, 1 << level)], _CHAIN_N)
-        if not _project(level)(wrap).is_identity():
-            return {"level": level, "reason": "wrap not killed at its level"}
-        identity = chain.QuotientWord.identity(level + 1, _CHAIN_C, _CHAIN_N)
-        if chain.conjugate_in_quotient(_project(level + 1)(wrap), identity):
-            return {"level": level, "reason": "wrap dies one level early"}
+@_prop("chain", "strict_chain", 7)
+def _(rng, i):
+    level = i % 7
+    wrap = reduce_word([(_CHAIN_C, 1 << level)], _CHAIN_N)
+    if not _project(level)(wrap).is_identity():
+        return {"level": level, "reason": "wrap not killed at its level"}
+    identity = chain.QuotientWord.identity(level + 1, _CHAIN_C, _CHAIN_N)
+    if chain.conjugate_in_quotient(_project(level + 1)(wrap), identity):
+        return {"level": level, "reason": "wrap dies one level early"}
 
 
 @_prop("chain", "separation_bound", 1_000)
@@ -583,13 +578,10 @@ def run_selftest(seed: int, scale: float = 1.0) -> dict:
             if count == 0:
                 continue
             rng = random.Random(f"{seed}:{suite}:{prop.name}")
-            if prop.whole:
-                found = prop.check(rng, count)
-            else:
-                for i in range(count):
-                    found = prop.check(rng, i)
-                    if found is not None:
-                        break
+            for i in range(count):
+                found = prop.check(rng, i)
+                if found is not None:
+                    break
             executed += count
             if found is not None:
                 failures.append({"property": prop.name, "counterexample": found})

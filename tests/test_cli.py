@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from goldmanab import cli, int_ideals
+from goldmanab.abelian import abelianize
+from goldmanab.bracket import bracket
 from goldmanab.cli import main
 from goldmanab.selftest import run_selftest
-from goldmanab.symplectic import MAX_RANK
+from goldmanab.symplectic import MAX_RANK, intersection_pairing
+
+from conftest import signatures, words
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +75,29 @@ class TestComputeCommands:
         code, out, _ = run_cli(capsys, "--format", "text", "pair", "--closed", "1", "a1", "a2")
         assert code == 0
         assert out == 'value: "1"\n'
+
+
+def _stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+class TestWordCommandsMatchTheLibrary:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from("ZQ"))
+    def test_bracket_and_pair(self, data, ring):
+        sig = data.draw(signatures())
+        u, v = data.draw(words(sig.n)), data.draw(words(sig.n))
+        surface = (["--closed", str(sig.genus)] if sig.is_closed
+                   else ["--boundary", str(sig.genus), str(sig.boundary)])
+        # The bracket of the abelianized words, each with coefficient 1 in the ring.
+        expected = bracket(sig, abelianize([(1, u)], sig.n, ring), abelianize([(1, v)], sig.n, ring))
+        assert _stdout("bracket", "--ring", ring, *surface, str(u), str(v)) == (
+            json.dumps(expected.to_json_obj(), indent=2) + "\n")
+        assert _stdout("pair", *surface, str(u), str(v)) == (
+            json.dumps({"value": str(intersection_pairing(sig, u, v))}, indent=2) + "\n")
 
 
 class TestIdealCommands:

@@ -71,6 +71,10 @@ class TestPrimitiveLabel:
         with pytest.raises(ValueError, match="canonical"):
             PrimitiveLabel([(Monomial((0, 0, 1)), q(1))])
 
+    def test_from_pairs_refuses_the_empty_list(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, [])
+
     def test_element_at(self):
         label = PrimitiveLabel.from_pairs(
             ONE_HOLED_TORUS, [(Monomial((0, 0, 0)), q(1)), (Monomial((0, 0, 1)), q(3, 2))]
@@ -306,6 +310,20 @@ class TestClosure:
         )
         with pytest.raises(ValueError, match=f"more than the {room} classes"):
             verify_bracket_closure(sig, ideal, random.Random(0))
+
+
+class TestRationalIdealConstructor:
+    def test_labels_must_be_primitive_labels(self):
+        with pytest.raises(TypeError, match="PrimitiveLabel.*'x'"):
+            RationalIdeal(["x"])
+
+    def test_central_rows_leave_their_elements_unchanged(self):
+        rows = [ModuleElement("Z", [(Monomial((0, 0, 1)), 2), (Monomial((0, 0, 2)), 4)]),
+                single((0, 0, 1), q(1, 3))]
+        before = [u.terms() for u in rows]
+        ideal = RationalIdeal((), rows)
+        assert [u.terms() for u in rows] == before
+        assert ideal.central_basis == (single((0, 0, 1), 1), single((0, 0, 2), 1))
 
 
 class TestEquality:

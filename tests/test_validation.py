@@ -11,7 +11,14 @@ import sys
 import pytest
 
 from goldmanab.abelian import ModuleElement, Monomial, exponent_vector, generator_exponent_sum
-from goldmanab.chain import QuotientWord, kernel_element, project_word, separation_level
+from goldmanab.chain import (
+    QuotientWord,
+    kernel_element,
+    project_word,
+    separation_level,
+    symmetric_residue,
+    total_c_exponent,
+)
 from goldmanab.cli import main
 from goldmanab.int_ideals import (
     GcdSubmodule,
@@ -20,6 +27,7 @@ from goldmanab.int_ideals import (
     gcd_divisibility_check,
     gcd_submodule_family,
 )
+from goldmanab.rat_ideals import PrimitiveLabel
 from goldmanab.symplectic import SurfaceSignature
 from goldmanab.words import CyclicWord, Word, parse_word, reduce_word
 
@@ -63,6 +71,9 @@ ENTRY_POINTS = {
         lambda x: kernel_element(1, [5], [W], W, x), "distinguished generator", (3,)),
     "separation_level c": (lambda x: separation_level(W, V, x, 5), "distinguished generator", (0,)),
     "separation_level n_max": (lambda x: separation_level(W, V, 1, x), "n_max", ()),
+    "symmetric_residue exponent": (lambda x: symmetric_residue(x, 2), "exponent", ()),
+    "symmetric_residue level": (lambda x: symmetric_residue(1, x), "level", (-1,)),
+    "total_c_exponent c": (lambda x: total_c_exponent(W, x), "distinguished generator", (3,)),
     "GcdSubmodule n": (lambda x: GcdSubmodule(x), "tuple length", (0,)),
     "TableSubmodule n": (lambda x: TableSubmodule(x, 1), "tuple length", (0, -1)),
     "TableSubmodule radius": (lambda x: TableSubmodule(1, x), "radius", (-1,)),
@@ -79,6 +90,11 @@ ENTRY_POINTS = {
         lambda x: ModuleElement("Z", [(Monomial((1,)), x)]), "coefficients", ()),
     "ModuleElement Q coefficient": (
         lambda x: ModuleElement("Q", [(Monomial((1,)), x)]), "coefficients", ()),
+    "ModuleElement exponent": (lambda x: ModuleElement("Z", [((0, x), 1)]), "exponent", ()),
+    "PrimitiveLabel weight": (
+        lambda x: PrimitiveLabel([(Monomial((0, 0)), x)]), "coefficients", ()),
+    "PrimitiveLabel.from_pairs weight": (
+        lambda x: PrimitiveLabel.from_pairs(SIG, [(Monomial((0, 0)), x)]), "coefficients", ()),
     "JSON exponent": (lambda x: _json_term([0, x], "1"), "exponent", ()),
     "JSON coefficient": (lambda x: _json_term([0, 1], x), "coefficient", ()),
 }
