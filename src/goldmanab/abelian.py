@@ -4,11 +4,15 @@ A ``Monomial`` is an element of the free abelian group on n generators,
 stored as a tuple of integer exponents.  A ``ModuleElement`` is a finitely
 supported map from monomials to exact coefficients, tagged with its
 coefficient ring: ``"Z"`` (Python ints) or ``"Q"`` (``fractions.Fraction``).
-All arithmetic is exact and arbitrary precision.
+Both rings store integer numerators over one positive denominator in
+lowest terms, the denominator 1 in ring Z; ``Fraction``s are built only
+where the API returns a ring-Q coefficient.  All arithmetic is exact and
+arbitrary precision.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import sys
@@ -138,10 +142,12 @@ class ModuleElement(_Value):
 
     Zero coefficients are never stored; all monomials share one length;
     iteration is sorted lexicographically by exponent vector, which makes
-    equality and serialization deterministic.
+    equality and serialization deterministic.  ``_terms`` maps each monomial
+    to a nonzero integer numerator over ``_den >= 1``, and
+    ``gcd(_den, *numerators) == 1``, so equal elements have equal fields.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_den")
 
     def __new__(cls, ring: str, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
         if ring not in RINGS:
@@ -150,7 +156,8 @@ class ModuleElement(_Value):
                   _check_coefficient(ring, coef)) for mono, coef in terms]
         if len({len(mono) for mono, _ in terms}) > 1:
             raise ValueError("mixed monomial lengths")
-        return cls._make(ring, _merge_terms(terms))
+        merged = _merge_terms(terms)
+        return _rational(merged) if ring == "Q" else cls._make(ring, merged, 1)
 
     @classmethod
     def zero(cls, ring: str = "Z") -> "ModuleElement":
@@ -162,11 +169,14 @@ class ModuleElement(_Value):
 
     def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms sorted lexicographically by exponent vector."""
-        t = self._terms
-        return [(m, t[m]) for m in sorted(t)]
+        t, den = self._terms, self._den
+        if self.ring == "Z":
+            return [(m, t[m]) for m in sorted(t)]
+        return [(m, Fraction(t[m], den)) for m in sorted(t)]
 
     def coefficient(self, mono: Monomial) -> Coefficient:
-        return self._terms.get(mono, Fraction(0) if self.ring == "Q" else 0)
+        num = self._terms.get(mono, 0)
+        return num if self.ring == "Z" else Fraction(num, self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -184,30 +194,36 @@ class ModuleElement(_Value):
             next(iter(other._terms))
         ):
             raise ValueError("mixed monomial lengths")
-        return ModuleElement._make(
-            self.ring, _merge_terms(self._terms.items(), other._terms.items())
-        )
+        left, right, den = self._terms.items(), other._terms.items(), self._den
+        if den != other._den:
+            den = math.lcm(den, other._den)
+            a, b = den // self._den, den // other._den
+            left = [(m, c * a) for m, c in left]
+            right = [(m, c * b) for m, c in right]
+        return _lowest(self.ring, _merge_terms(left, right), den)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement._make(self.ring, {m: -c for m, c in self._terms.items()})
+        return ModuleElement._make(self.ring, {m: -c for m, c in self._terms.items()}, self._den)
 
     def scaled(self, factor: Coefficient) -> "ModuleElement":
         factor = _check_coefficient(self.ring, factor)
         if not factor:
-            return ModuleElement._make(self.ring, {})
-        return ModuleElement._make(self.ring, {m: c * factor for m, c in self._terms.items()})
+            return ModuleElement._make(self.ring, {}, 1)
+        num = factor.numerator
+        return _lowest(self.ring, {m: c * num for m, c in self._terms.items()},
+                       self._den * factor.denominator)
 
     def to_rational(self) -> "ModuleElement":
         """Explicit promotion of an integer element into the rational module."""
         if self.ring == "Q":
             return self
-        return ModuleElement._make("Q", {m: Fraction(c) for m, c in self._terms.items()})
+        return ModuleElement._make("Q", self._terms, 1)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -235,6 +251,28 @@ class ModuleElement(_Value):
             mono = Monomial(_json_shape(item["exp"], list, "'exp' of a term"))
             terms.append((mono, _exact_from_json(item["coef"], ring)))
         return cls(ring, terms)
+
+
+def _lowest(ring: str, numerators: dict, den: int) -> ModuleElement:
+    """Trusted: the element with nonzero ``numerators`` over ``den >= 1``, in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *numerators.values())
+        if g != 1:
+            numerators = {m: c // g for m, c in numerators.items()}
+            den //= g
+    return ModuleElement._make(ring, numerators, den)
+
+
+def _rational(terms: dict) -> ModuleElement:
+    """Trusted: the ring-Q element of a map from monomials to nonzero Fractions.
+
+    Over the lcm of the denominators the numerators are in lowest terms: a
+    prime power that divides the lcm exactly divides some denominator
+    exactly, and that denominator's numerator is prime to it.
+    """
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return ModuleElement._make(
+        "Q", {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den)
 
 
 def exponent_vector(w: Word, n: int | None = None) -> Monomial:

@@ -2,20 +2,19 @@
 
 On monomials the bracket is [x, y] = <x, y> x*y with <,> the symplectic
 pairing of the surface; it extends bilinearly to integer and rational
-formal sums.  Both rings run through one integer kernel: each element's
-coefficients are written over one common denominator (1 in ring Z), every
-term pair adds an integer to its output monomial, and one coefficient is
-built per output monomial at the end.
+formal sums.  Both rings run through one integer kernel on the stored
+form: every term pair adds the product of two integer numerators to its
+output monomial, the output denominator is the product of the two
+denominators (1 in ring Z), and one gcd puts the result in lowest terms.
+No ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from fractions import Fraction
 from operator import add, mul
 
-from .abelian import ModuleElement, Monomial
+from .abelian import ModuleElement, Monomial, _lowest
 from .symplectic import SurfaceSignature, _pairing_row, _require_length
 
 
@@ -31,17 +30,10 @@ def bracket_monomials(
     return bracket(sig, ModuleElement.single(ring, x), ModuleElement.single(ring, y))
 
 
-def _numerators(u: ModuleElement) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms of u as integer numerators over one common denominator."""
-    # A list, not a generator: unpacking a generator here raised peak RSS
-    # by about 3 MB over many calls.
-    den = math.lcm(*[c.denominator for c in u._terms.values()])
-    return [(m, c.numerator * (den // c.denominator)) for m, c in u._terms.items()], den
-
-
 def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> ModuleElement:
     """Bilinear extension of the monomial bracket; terms merged, zeros pruned.
 
+    >>> from fractions import Fraction
     >>> sig = SurfaceSignature.closed(1)
     >>> u = ModuleElement("Q", [(Monomial((1, 0)), Fraction(1, 2))])
     >>> v = ModuleElement("Q", [(Monomial((0, 1)), Fraction(2, 3)), (Monomial((1, 0)), 5)])
@@ -49,22 +41,21 @@ def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> Module
     [(Monomial((1, 1)), Fraction(1, 3))]
     """
     u._require_same_ring(v)
-    if not (u._terms and v._terms):
-        return ModuleElement._make(u.ring, {})
+    xs, ys = u._terms, v._terms
+    if not (xs and ys):
+        return ModuleElement._make(u.ring, {}, 1)
     # All monomials of an element share one length, so one term tells.
-    _require_length(sig, next(iter(u._terms)))
-    _require_length(sig, next(iter(v._terms)))
-    xs, du = _numerators(u)
-    ys, dv = _numerators(v)
+    _require_length(sig, next(iter(xs)))
+    _require_length(sig, next(iter(ys)))
     # <x, y> = row(x) . y = -row(y) . x: build one pairing row per term of
     # the smaller side, the sign of a row of v going into its numerator.
     # A row stops at a_2g, and so does map() below.
     if len(xs) <= len(ys):
-        rows = [(_pairing_row(sig.genus, x), x, c) for x, c in xs]
-        cols = ys
+        rows = [(_pairing_row(sig.genus, x), x, c) for x, c in xs.items()]
+        cols = ys.items()
     else:
-        rows = [(_pairing_row(sig.genus, y), y, -c) for y, c in ys]
-        cols = xs
+        rows = [(_pairing_row(sig.genus, y), y, -c) for y, c in ys.items()]
+        cols = xs.items()
     acc: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for pairing, x, c in rows:
         for y, d in cols:
@@ -72,9 +63,5 @@ def bracket(sig: SurfaceSignature, u: ModuleElement, v: ModuleElement) -> Module
             if p:
                 acc[tuple(map(add, x, y))] += c * d * p
     new = tuple.__new__
-    if u.ring == "Z":
-        terms = {new(Monomial, m): t for m, t in acc.items() if t}
-    else:
-        den = du * dv
-        terms = {new(Monomial, m): Fraction(t, den) for m, t in acc.items() if t}
-    return ModuleElement._make(u.ring, terms)
+    terms = {new(Monomial, m): t for m, t in acc.items() if t}
+    return _lowest(u.ring, terms, u._den * v._den)

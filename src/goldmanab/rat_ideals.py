@@ -4,24 +4,27 @@ Over the rationals an ideal splits, as a vector space, into primitive
 components indexed by canonical labels plus a subspace of the center.  A
 label packages central translates and rational weights; evaluating it at a
 non-central monomial spreads that monomial over its central-translation
-class.  Ideals are stored as a label set together with a row-reduced
-rational basis of the central part, which makes equality structural and
-membership an exact linear solve.
+class.  A label stores its weights as a primitive integer vector, so
+labels compare and hash on integers.  Ideals are stored as a label set
+together with a row-reduced rational basis of the central part, which
+makes equality structural and membership an exact linear solve.
 
 Decomposition, closure and membership group an element's terms by class
-in one helper; closure and membership build no decomposition objects and
-hash each distinct label once, the trivial label of all one-term classes
-included.
+in one helper, which reads the element's integer numerators: it divides
+each class by one gcd and builds a ``Fraction`` only for central terms.
+Closure and membership build no decomposition objects and hash each
+distinct label once, the trivial label of all one-term classes included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .abelian import (ModuleElement, Monomial, _check_coefficient, _exact_from_json, _json_shape,
-                      _merge_terms)
+                      _merge_terms, _rational)
 from .bracket import bracket
 from .symplectic import SurfaceSignature, _require_length, is_central, symplectic_product
 from .words import _Value
@@ -33,13 +36,14 @@ class PrimitiveLabel(_Value):
     The c_i are pairwise distinct central monomials and the q_i nonzero
     rationals, translated so the lexicographically least c_i is the
     identity and scaled so its weight is 1; the list is sorted by c_i.
+    The label stores the c_i and the primitive integer vector w with
+    w_1 > 0 and q_i = w_i / w_1.
     """
 
-    __slots__ = ("pairs",)
+    __slots__ = ("_monos", "_weights")
 
     def __new__(cls, pairs: Iterable[tuple[Monomial, Fraction]]):
-        pairs = tuple(sorted(((m, _check_coefficient("Q", q)) for m, q in pairs),
-                             key=lambda p: p[0]))
+        pairs = sorted(_checked_pairs(pairs), key=lambda p: p[0])
         if not pairs:
             raise ValueError("a label needs at least one pair")
         if len({m for m, _ in pairs}) != len(pairs):
@@ -51,7 +55,9 @@ class PrimitiveLabel(_Value):
         least_mono, least_q = pairs[0]
         if not least_mono.is_identity() or least_q != 1:
             raise ValueError("label not canonical; use PrimitiveLabel.from_pairs")
-        return cls._make(pairs)
+        # q_1 = 1, so the numerators over the lcm are primitive with w_1 > 0.
+        row = _rational(dict(pairs))._terms
+        return cls._make(tuple(row), tuple(row.values()))
 
     @classmethod
     def from_pairs(
@@ -63,7 +69,7 @@ class PrimitiveLabel(_Value):
         component is invariant under both, so only the canonical class
         matters.
         """
-        pairs = [(m, _check_coefficient("Q", q)) for m, q in pairs]
+        pairs = _checked_pairs(pairs)
         if not pairs:
             raise ValueError("a label needs at least one pair")
         for m, q in pairs:
@@ -79,12 +85,19 @@ class PrimitiveLabel(_Value):
     @classmethod
     def trivial(cls, sig: SurfaceSignature) -> "PrimitiveLabel":
         """The one-pair label (identity, 1)."""
-        return cls([(Monomial.identity(sig.n), Fraction(1))])
+        return cls._make((Monomial.identity(sig.n),), (1,))
+
+    @property
+    def pairs(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        """The canonical pairs (c_i, q_i), sorted by c_i."""
+        w1 = self._weights[0]
+        return tuple((m, Fraction(w, w1)) for m, w in zip(self._monos, self._weights))
 
     def element_at(self, x: Monomial) -> ModuleElement:
         """The rational element sum_i q_i * (c_i * x)."""
-        # Translation by x is injective, so the monomials stay distinct.
-        return ModuleElement._make("Q", {m * x: q for m, q in self.pairs})
+        # Translation by x is injective and w primitive: distinct monomials, lowest terms.
+        return ModuleElement._make(
+            "Q", {m * x: w for m, w in zip(self._monos, self._weights)}, self._weights[0])
 
     def __repr__(self) -> str:
         body = ", ".join(f"({tuple(m)}, {q})" for m, q in self.pairs)
@@ -101,6 +114,12 @@ class PrimitiveLabel(_Value):
             mono = Monomial(_json_shape(p["c"], list, "'c' of a label pair"))
             pairs.append((mono, _exact_from_json(p["q"], "Q")))
         return cls(pairs)
+
+
+def _checked_pairs(pairs: Iterable[tuple[Monomial, Fraction]]) -> list[tuple[Monomial, Fraction]]:
+    """Label pairs from outside: each exponent vector a Monomial, each weight a Fraction."""
+    return [(m if m.__class__ is Monomial else Monomial(m), _check_coefficient("Q", q))
+            for m, q in pairs]
 
 
 class Part(NamedTuple):
@@ -120,17 +139,18 @@ class CentralDecomposition(NamedTuple):
     def reassemble(self) -> ModuleElement:
         """central + sum of coeff * label.element_at(base), merged in one pass."""
         parts = ((m * base, q * coeff) for label, base, coeff in self.parts for m, q in label.pairs)
-        return ModuleElement._make("Q", _merge_terms(self.central._terms.items(), parts))
+        return _rational(_merge_terms(self.central.terms(), parts))
 
 
 def _classes(
     sig: SurfaceSignature, u: ModuleElement
-) -> tuple[list[tuple[PrimitiveLabel, Monomial, Fraction]], dict[Monomial, Fraction]]:
+) -> tuple[list[tuple[PrimitiveLabel, Monomial, int]], dict[Monomial, Fraction]]:
     """Group u's terms by central-translation class.
 
-    Returns ``(parts, central)``: one ``(label, base, coeff)`` per class of
-    non-central monomials, in ascending class order, and the central terms.
-    Every one-term class carries the same trivial label object.
+    Returns ``(parts, central)``: one ``(label, base, numerator)`` per class
+    of non-central monomials, in ascending class order, the base's
+    coefficient being ``numerator / u._den``, and the central terms as
+    Fractions.  Every one-term class carries the same trivial label object.
     """
     if u.ring != "Q":
         raise ValueError("decomposition is defined on the rational module")
@@ -147,26 +167,30 @@ def _classes(
         if any(key):
             classes.setdefault(key, []).append(mono)
         else:
-            central[mono] = terms[mono]
-    # Every label starts with its base translated to the identity, weight 1.
-    head = (Monomial.identity(sig.n), Fraction(1))
-    trivial = PrimitiveLabel._make((head,))
+            central[mono] = Fraction(terms[mono], u._den)
+    # Every label starts with its base translated to the identity.
+    head = Monomial.identity(sig.n)
+    trivial = PrimitiveLabel._make((head,), (1,))
     new = tuple.__new__
     parts = []
     for base, *rest in classes.values():
-        base_coef = terms[base]
+        num = terms[base]
         if rest:
-            # Translation keeps the order, so the label is canonical as built.
+            # Translation keeps the order, so the label is canonical as built;
+            # q_i = n_i / n_base, and the signed gcd makes w primitive, w_1 > 0.
+            weights = [num, *map(terms.__getitem__, rest)]
+            g = gcd(*weights) if num > 0 else -gcd(*weights)
             label = PrimitiveLabel._make(
-                (head, *((new(Monomial, map(sub, m, base)), terms[m] / base_coef) for m in rest))
+                (head, *(new(Monomial, map(sub, m, base)) for m in rest)),
+                tuple(w // g for w in weights),
             )
         else:
             label = trivial
-        parts.append((label, base, base_coef))
+        parts.append((label, base, num))
     return parts, central
 
 
-def _labels(parts: Sequence[tuple[PrimitiveLabel, Monomial, Fraction]]) -> set[PrimitiveLabel]:
+def _labels(parts: Sequence[tuple[PrimitiveLabel, Monomial, int]]) -> set[PrimitiveLabel]:
     """The distinct labels of :func:`_classes` parts.
 
     Deduplicating by identity first hashes the shared trivial label once,
@@ -186,7 +210,8 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
     """
     parts, central = _classes(sig, u)
     return CentralDecomposition(
-        tuple(Part(*part) for part in parts), ModuleElement._make("Q", central)
+        tuple(Part(label, base, Fraction(num, u._den)) for label, base, num in parts),
+        _rational(central),
     )
 
 
@@ -252,8 +277,12 @@ class RationalIdeal(_Value):
         for label in labels:
             if not isinstance(label, PrimitiveLabel):
                 raise TypeError(f"an ideal's labels must be PrimitiveLabels, got {label!r}")
-        rows = _rref(u.to_rational()._terms for u in central_basis)
-        basis = tuple(ModuleElement._make("Q", row) for _, row in rows)
+        central_basis = list(central_basis)
+        for u in central_basis:
+            if not isinstance(u, ModuleElement):
+                raise TypeError(f"an ideal's central rows must be ModuleElements, got {u!r}")
+        rows = _rref(dict(u.to_rational().terms()) for u in central_basis)
+        basis = tuple(_rational(row) for _, row in rows)
         return cls._make(labels, basis)
 
     def sorted_labels(self) -> list[PrimitiveLabel]:
@@ -303,7 +332,7 @@ def ideal_closure(
         parts, rest = _classes(sig, gen)
         labels |= _labels(parts)
         if rest:
-            central.append(ModuleElement._make("Q", rest))
+            central.append(_rational(rest))
     return RationalIdeal(labels, central)
 
 
@@ -317,7 +346,7 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
     starts at the identity, so a non-central monomial in it sorts after all
     central ones: its last pair is central only if every pair is.
     """
-    probes = [lab.pairs[-1][0] for lab in ideal.labels]
+    probes = [lab._monos[-1] for lab in ideal.labels]
     probes += [mono for row in ideal.central_basis for mono in row._terms]
     for mono in probes:
         if not is_central(sig, mono):  # raises on a length other than sig.n
@@ -326,7 +355,7 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
     if not _labels(parts) <= ideal.labels:
         return False
     # The stored rows are reduced, each with its lex-least monomial as pivot.
-    basis = [(min(row._terms), row._terms) for row in ideal.central_basis]
+    basis = [(min(row._terms), dict(row.terms())) for row in ideal.central_basis]
     return not _reduce_vector(central, basis)
 
 

@@ -75,6 +75,13 @@ class TestPrimitiveLabel:
         with pytest.raises(ValueError, match="at least one pair"):
             PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, [])
 
+    def test_plain_tuples_are_read_as_monomials(self):
+        pairs = [((0, 0, 0), q(1)), ((0, 0, 1), q(3, 2))]
+        monomial_pairs = [(Monomial(m), w) for m, w in pairs]
+        assert PrimitiveLabel(pairs) == PrimitiveLabel(monomial_pairs)
+        assert (PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, pairs)
+                == PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, monomial_pairs))
+
     def test_element_at(self):
         label = PrimitiveLabel.from_pairs(
             ONE_HOLED_TORUS, [(Monomial((0, 0, 0)), q(1)), (Monomial((0, 0, 1)), q(3, 2))]
@@ -316,6 +323,10 @@ class TestRationalIdealConstructor:
     def test_labels_must_be_primitive_labels(self):
         with pytest.raises(TypeError, match="PrimitiveLabel.*'x'"):
             RationalIdeal(["x"])
+
+    def test_central_rows_must_be_module_elements(self):
+        with pytest.raises(TypeError, match="central rows must be ModuleElements, got 'x'"):
+            RationalIdeal((), ["x"])
 
     def test_central_rows_leave_their_elements_unchanged(self):
         rows = [ModuleElement("Z", [(Monomial((0, 0, 1)), 2), (Monomial((0, 0, 2)), 4)]),

@@ -95,6 +95,10 @@ ENTRY_POINTS = {
         lambda x: PrimitiveLabel([(Monomial((0, 0)), x)]), "coefficients", ()),
     "PrimitiveLabel.from_pairs weight": (
         lambda x: PrimitiveLabel.from_pairs(SIG, [(Monomial((0, 0)), x)]), "coefficients", ()),
+    "PrimitiveLabel exponent": (
+        lambda x: PrimitiveLabel([(Monomial((0, 0)), 1), ((0, x), 1)]), "exponent", ()),
+    "PrimitiveLabel.from_pairs exponent": (
+        lambda x: PrimitiveLabel.from_pairs(SIG, [((0, x), 1)]), "exponent", ()),
     "JSON exponent": (lambda x: _json_term([0, x], "1"), "exponent", ()),
     "JSON coefficient": (lambda x: _json_term([0, 1], x), "coefficient", ()),
 }
