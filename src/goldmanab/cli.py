@@ -38,7 +38,8 @@ def _loose_alphabet(c: int, *texts: str) -> int:
 def _parse_tuple_set(text: str) -> list[tuple[int, ...]]:
     try:
         return [tuple(t) for t in ast.literal_eval(text)]
-    except (ValueError, SyntaxError, TypeError) as exc:
+    # Deep nesting exhausts the recursion limit, or the parser's own stack.
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
         raise ValueError(f"cannot parse tuple set {text!r}") from exc
 
 
@@ -46,7 +47,7 @@ def _parse_json(text: str, what: str, read):
     """``read`` applied to the JSON of option ``what``; shape errors name it."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON for {what}: {exc}") from exc
     try:
         return read(obj)

@@ -11,7 +11,8 @@ makes equality structural and membership an exact linear solve.
 
 Decomposition, closure and membership group an element's terms by class
 in one helper, which reads the element's integer numerators: it divides
-each class by one gcd and builds a ``Fraction`` only for central terms.
+each class by one gcd and keeps the central terms as one element, and
+central rows reduce by element arithmetic, with no ``Fraction`` per term.
 Closure and membership build no decomposition objects and hash each
 distinct label once, the trivial label of all one-term classes included.
 """
@@ -24,10 +25,10 @@ from operator import attrgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .abelian import (ModuleElement, Monomial, _check_coefficient, _exact_from_json, _json_shape,
-                      _merge_terms, _rational)
+                      _lowest, _merge_terms, _rational)
 from .bracket import bracket
 from .symplectic import SurfaceSignature, _require_length, is_central, symplectic_product
-from .words import _Value
+from .words import _check_integer, _Value
 
 
 class PrimitiveLabel(_Value):
@@ -137,20 +138,20 @@ class CentralDecomposition(NamedTuple):
     central: ModuleElement
 
     def reassemble(self) -> ModuleElement:
-        """central + sum of coeff * label.element_at(base), merged in one pass."""
+        """central + sum of coeff * label.element_at(base), the parts merged in one pass."""
         parts = ((m * base, q * coeff) for label, base, coeff in self.parts for m, q in label.pairs)
-        return _rational(_merge_terms(self.central.terms(), parts))
+        return self.central + _rational(_merge_terms(parts))
 
 
 def _classes(
     sig: SurfaceSignature, u: ModuleElement
-) -> tuple[list[tuple[PrimitiveLabel, Monomial, int]], dict[Monomial, Fraction]]:
+) -> tuple[list[tuple[PrimitiveLabel, Monomial, int]], ModuleElement]:
     """Group u's terms by central-translation class.
 
     Returns ``(parts, central)``: one ``(label, base, numerator)`` per class
     of non-central monomials, in ascending class order, the base's
     coefficient being ``numerator / u._den``, and the central terms as
-    Fractions.  Every one-term class carries the same trivial label object.
+    an element.  Every one-term class carries the same trivial label object.
     """
     if u.ring != "Q":
         raise ValueError("decomposition is defined on the rational module")
@@ -159,7 +160,7 @@ def _classes(
     if terms:
         _require_length(sig, next(iter(terms)))
     classes: dict[tuple[int, ...], list[Monomial]] = {}
-    central: dict[Monomial, Fraction] = {}
+    central: dict[Monomial, int] = {}
     # Sorting the monomials alone compares no coefficients.  Sorted, each
     # class is sorted and the classes are inserted in ascending order.
     for mono in sorted(terms):
@@ -167,7 +168,7 @@ def _classes(
         if any(key):
             classes.setdefault(key, []).append(mono)
         else:
-            central[mono] = Fraction(terms[mono], u._den)
+            central[mono] = terms[mono]
     # Every label starts with its base translated to the identity.
     head = Monomial.identity(sig.n)
     trivial = PrimitiveLabel._make((head,), (1,))
@@ -187,7 +188,7 @@ def _classes(
         else:
             label = trivial
         parts.append((label, base, num))
-    return parts, central
+    return parts, _lowest("Q", central, u._den)
 
 
 def _labels(parts: Sequence[tuple[PrimitiveLabel, Monomial, int]]) -> set[PrimitiveLabel]:
@@ -211,7 +212,7 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
     parts, central = _classes(sig, u)
     return CentralDecomposition(
         tuple(Part(label, base, Fraction(num, u._den)) for label, base, num in parts),
-        _rational(central),
+        central,
     )
 
 
@@ -225,41 +226,30 @@ def label_bracket_identity_holds(
 
 
 # ---------------------------------------------------------------------------
-# Exact rational row reduction over sparse monomial-keyed vectors.
-
-_Vector = dict[Monomial, Fraction]
-
-
-def _reduce_vector(v: _Vector, basis: Sequence[tuple[Monomial, _Vector]]) -> _Vector:
-    """v reduced by each (pivot, row) in turn, as a new dict: v itself is not changed."""
-    out = dict(v)
-    for pivot, row in basis:
-        c = out.get(pivot)
-        if c:
-            for m, q in row.items():
-                new = out.get(m, Fraction(0)) - c * q
-                if new:
-                    out[m] = new
-                else:
-                    out.pop(m, None)
-    return out
+# Exact row reduction of rational elements.  A reduced row's pivot is its
+# lex-least monomial, at coefficient 1: its numerator there equals _den.
 
 
-def _rref(vectors: Iterable[_Vector]) -> list[tuple[Monomial, _Vector]]:
-    """Reduced echelon basis; pivots are lex-least monomials, ascending."""
-    basis: list[tuple[Monomial, _Vector]] = []
+def _reduce(v: ModuleElement, rows: Sequence[ModuleElement]) -> ModuleElement:
+    """v less its multiple of each reduced row in turn, which clears the row's pivot."""
+    for row in rows:
+        num = v._terms.get(min(row._terms))
+        if num:
+            v = v - row.scaled(Fraction(num, v._den))
+    return v
+
+
+def _rref(vectors: Iterable[ModuleElement]) -> list[ModuleElement]:
+    """Reduced echelon basis of rational elements, ascending by pivot."""
+    basis: list[ModuleElement] = []
     for vec in vectors:
-        rest = _reduce_vector(vec, basis)
-        if not rest:
+        rest = _reduce(vec, basis)
+        if rest.is_zero():
             continue
-        pivot = min(rest)
-        inv = 1 / rest[pivot]
-        row = {m: q * inv for m, q in rest.items()}
-        for idx, (p, b) in enumerate(basis):
-            if b.get(pivot):
-                basis[idx] = (p, _reduce_vector(b, [(pivot, row)]))
-        basis.append((pivot, row))
-        basis.sort(key=lambda item: item[0])
+        row = rest.scaled(1 / rest.coefficient(min(rest._terms)))
+        basis = [_reduce(b, [row]) for b in basis]
+        basis.append(row)
+        basis.sort(key=lambda b: min(b._terms))
     return basis
 
 
@@ -281,9 +271,7 @@ class RationalIdeal(_Value):
         for u in central_basis:
             if not isinstance(u, ModuleElement):
                 raise TypeError(f"an ideal's central rows must be ModuleElements, got {u!r}")
-        rows = _rref(dict(u.to_rational().terms()) for u in central_basis)
-        basis = tuple(_rational(row) for _, row in rows)
-        return cls._make(labels, basis)
+        return cls._make(labels, tuple(_rref(u.to_rational() for u in central_basis)))
 
     def sorted_labels(self) -> list[PrimitiveLabel]:
         return sorted(self.labels, key=attrgetter("pairs"))
@@ -331,9 +319,9 @@ def ideal_closure(
     for gen in generators:
         parts, rest = _classes(sig, gen)
         labels |= _labels(parts)
-        if rest:
-            central.append(_rational(rest))
-    return RationalIdeal(labels, central)
+        central.append(rest)
+    # Labels and rows built here need none of the constructor's checks.
+    return RationalIdeal._make(frozenset(labels), tuple(_rref(central)))
 
 
 def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement) -> bool:
@@ -352,11 +340,7 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
         if not is_central(sig, mono):  # raises on a length other than sig.n
             raise ValueError(f"ideal monomial {tuple(mono)} is not central")
     parts, central = _classes(sig, u)
-    if not _labels(parts) <= ideal.labels:
-        return False
-    # The stored rows are reduced, each with its lex-least monomial as pivot.
-    basis = [(min(row._terms), dict(row.terms())) for row in ideal.central_basis]
-    return not _reduce_vector(central, basis)
+    return _labels(parts) <= ideal.labels and _reduce(central, ideal.central_basis).is_zero()
 
 
 def verify_bracket_closure(
@@ -370,6 +354,7 @@ def verify_bracket_closure(
     A sample whose labels need more translation classes than the box holds
     raises ValueError.
     """
+    _check_integer(samples, "samples", 0)
     labels = ideal.sorted_labels()
     radius, g2 = 4, 2 * sig.genus
     room = max(1, (2 * radius + 1) ** g2 - 1)  # non-central classes of the box; at g = 0 only ()
@@ -410,6 +395,7 @@ def closed_surface_classification_check(sig: SurfaceSignature, rng, samples: int
     label alone), or the whole algebra (both).  Verified on sampled
     single-monomial generating sets with exponents in [-6, 6].
     """
+    _check_integer(samples, "samples", 0)
     if not sig.is_closed:
         raise ValueError("classification check applies to closed surfaces")
     trivial = PrimitiveLabel.trivial(sig)

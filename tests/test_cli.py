@@ -402,6 +402,23 @@ class TestInputErrorBoundary:
         err = assert_input_error(capsys, "ideal-closure", "--boundary", "1", "2", "--gen", gen)
         assert "rational" in err
 
+    DEEP_JSON = "[" * 5000
+    DEEP_TUPLES = "+" * 5000 + "1"
+
+    @pytest.mark.parametrize("argv", [
+        ("ideal-closure", "--closed", "1", "--gen", DEEP_JSON),
+        (*MEMBER, "--ideal", DEEP_JSON, "--elem", ELEM),
+        (*MEMBER, "--ideal", ideal_json(), "--elem", DEEP_JSON),
+        ("ideal-check", "--closed", "1", "--rule", "table", "--table", DEEP_JSON, "--seed", "1"),
+        ("ik-family", "--K0", DEEP_TUPLES, "--count", "1"),
+        ("ik-family", "--K0", "+" * 100_000 + "1", "--count", "1"),
+        ("ideal-check", "--closed", "1", "--rule", "ik", "--K", DEEP_TUPLES, "--seed", "1"),
+    ], ids=["gen", "ideal", "elem", "table", "K0", "K0-parser-stack", "K"])
+    def test_deeply_nested_input(self, capsys, argv):
+        # The JSON decoder and the Python parser give up with RecursionError,
+        # or MemoryError when the parser's own stack overflows.
+        assert_input_error(capsys, *argv)
+
     def test_program_fault_keeps_its_traceback(self, monkeypatch):
         def broken(args):
             raise AttributeError("a fault of the program, not of the input")

@@ -113,7 +113,7 @@ def test_class_labels_match_from_pairs(data):
     classes = {}
     for m, c in u.terms():
         classes.setdefault(m[:2 * sig.genus], []).append((m, c))
-    assert central == dict(classes.pop((0,) * 2 * sig.genus, []))
+    _assert_matches(central, dict(classes.pop((0,) * 2 * sig.genus, [])))
     assert len(parts) == len(classes)
     for (label, base, num), key in zip(parts, sorted(classes)):
         members = classes[key]

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from goldmanab.rat_ideals import (
     ideal_closure,
     ideal_contains,
     label_bracket_identity_holds,
-    _reduce_vector,
     verify_bracket_closure,
 )
 from goldmanab.sampling import random_label, random_noncentral_monomial
@@ -35,6 +35,42 @@ def q(num, den=1):
 
 def single(mono, coef):
     return ModuleElement.single("Q", Monomial(mono), Fraction(coef))
+
+
+# The Fraction row reduction that the central basis used before it became
+# element arithmetic, kept as the oracle for the rows and for membership.
+
+def _reduce_vector(v, basis):
+    """v reduced by each (pivot, row) in turn, as a new dict: v itself is not changed."""
+    out = dict(v)
+    for pivot, row in basis:
+        c = out.get(pivot)
+        if c:
+            for m, q in row.items():
+                new = out.get(m, Fraction(0)) - c * q
+                if new:
+                    out[m] = new
+                else:
+                    out.pop(m, None)
+    return out
+
+
+def _rref(vectors):
+    """Reduced echelon basis; pivots are lex-least monomials, ascending."""
+    basis = []
+    for vec in vectors:
+        rest = _reduce_vector(vec, basis)
+        if not rest:
+            continue
+        pivot = min(rest)
+        inv = 1 / rest[pivot]
+        row = {m: q * inv for m, q in rest.items()}
+        for idx, (p, b) in enumerate(basis):
+            if b.get(pivot):
+                basis[idx] = (p, _reduce_vector(b, [(pivot, row)]))
+        basis.append((pivot, row))
+        basis.sort(key=lambda item: item[0])
+    return basis
 
 
 class TestPrimitiveLabel:
@@ -522,3 +558,38 @@ class TestAgainstDecompositionOracle:
             shifted = Monomial(tuple(e + (j == 2 * sig.genus) for j, e in enumerate(m)))
             total = bracket(sig, b, single(m, 1)) + bracket(sig, b, single(shifted, 1))
             assert ideal_contains(sig, ideal, total) == _contains_oracle(sig, ideal, total)
+
+
+@st.composite
+def central_elements(draw, sig, max_terms=4):
+    """Rational elements of the center: exponents in [-2, 2] past the first 2g."""
+    g2, rest = 2 * sig.genus, sig.n - 2 * sig.genus
+    tails = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rest),
+                          min_size=1, max_size=max_terms, unique=True))
+    return ModuleElement("Q", [(Monomial((0,) * g2 + t), draw(rational_coeffs())) for t in tails])
+
+
+class TestCentralRowsAgainstFractionOracle:
+    @pytest.mark.parametrize("sig", [SurfaceSignature.with_boundary(1, 4), TWO_GENUS_THREE_HOLES],
+                             ids=["1-4", "2-3"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_membership(self, sig, data):
+        gens = data.draw(st.lists(central_elements(sig), min_size=1, max_size=8))
+        basis = _rref(dict(u.terms()) for u in gens)
+        ideal = RationalIdeal((), gens)
+        assert [dict(row.terms()) for row in ideal.central_basis] == [row for _, row in basis]
+        assert ideal_closure(sig, gens) == ideal
+        for row in ideal.central_basis:
+            nums = list(row._terms.values())
+            assert row._den >= 1 and gcd(row._den, *nums) == 1
+            assert row._terms[min(row._terms)] == row._den
+        coeffs = st.one_of(st.just(Fraction(0)), rational_coeffs())
+        combination = ModuleElement.zero("Q")
+        for row in ideal.central_basis:
+            combination = combination + row.scaled(data.draw(coeffs))
+        other = data.draw(central_elements(sig))
+        for u in (combination, other, combination + other):
+            expected = not _reduce_vector(dict(u.terms()), basis)
+            assert ideal_contains(sig, ideal, u) == expected
+        assert ideal_contains(sig, ideal, combination)

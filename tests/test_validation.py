@@ -5,6 +5,7 @@ ValueError, each naming the argument and the value; in the CLI both exit 2
 with one ``error:`` line and nothing on stdout.
 """
 
+import random
 import subprocess
 import sys
 
@@ -27,7 +28,12 @@ from goldmanab.int_ideals import (
     gcd_divisibility_check,
     gcd_submodule_family,
 )
-from goldmanab.rat_ideals import PrimitiveLabel
+from goldmanab.rat_ideals import (
+    PrimitiveLabel,
+    RationalIdeal,
+    closed_surface_classification_check,
+    verify_bracket_closure,
+)
 from goldmanab.symplectic import SurfaceSignature
 from goldmanab.words import CyclicWord, Word, parse_word, reduce_word
 
@@ -86,6 +92,12 @@ ENTRY_POINTS = {
     "gcd_divisibility_check radius": (
         lambda x: gcd_divisibility_check(SIG, GcdSubmodule(2), x, None), "box radius", (-1,)),
     "gcd_submodule_family count": (lambda x: gcd_submodule_family([(1, 0)], x), "count", (0,)),
+    "verify_bracket_closure samples": (
+        lambda x: verify_bracket_closure(SIG, RationalIdeal(), random.Random(0), x), "samples",
+        (-3,)),
+    "closed_surface_classification_check samples": (
+        lambda x: closed_surface_classification_check(SIG, random.Random(0), x), "samples",
+        (-3,)),
     "ModuleElement Z coefficient": (
         lambda x: ModuleElement("Z", [(Monomial((1,)), x)]), "coefficients", ()),
     "ModuleElement Q coefficient": (
