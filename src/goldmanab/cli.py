@@ -35,12 +35,12 @@ def _loose_alphabet(c: int, *texts: str) -> int:
     return max(gens + [c, 1])
 
 
-def _parse_tuple_set(text: str) -> list[tuple[int, ...]]:
+def _parse_tuple_set(text: str, option: str) -> list[tuple[int, ...]]:
     try:
         return [tuple(t) for t in ast.literal_eval(text)]
     # Deep nesting exhausts the recursion limit, or the parser's own stack.
     except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
-        raise ValueError(f"cannot parse tuple set {text!r}") from exc
+        raise ValueError(f"cannot parse {option} {text[:40]!r} ({len(text)} characters)") from exc
 
 
 def _parse_json(text: str, what: str, read):
@@ -99,7 +99,7 @@ def _build_submodule(args, sig: SurfaceSignature) -> int_ideals.GeometricSubmodu
     if args.rule == "ik":
         if args.K is None:
             raise ValueError("--rule ik requires --K")
-        return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K))
+        return int_ideals.GcdSubmodule(sig.n, _parse_tuple_set(args.K, "--K"))
     if args.table is None:
         raise ValueError("--rule table requires --table")
     return _parse_json(args.table, "--table", lambda obj: _table_submodule(sig.n, obj))
@@ -133,7 +133,7 @@ def _cmd_ideal_check(args) -> tuple[dict, int]:
 
 
 def _cmd_ik_family(args) -> tuple[dict, int]:
-    family = int_ideals.gcd_submodule_family(_parse_tuple_set(args.K0), args.count, n=args.n)
+    family = int_ideals.gcd_submodule_family(_parse_tuple_set(args.K0, "--K0"), args.count, n=args.n)
     return {
         "submodules": [
             {"K": [list(t) for t in sorted(sub.exceptions)]} for sub in family

@@ -420,10 +420,9 @@ def gcd_submodule_family(
             f"a family of {count} members holds {tuples} exception tuples, "
             f"more than the cap of {MAX_FAMILY_TUPLES}"
         )
-    family = [GcdSubmodule(n, base)]
-    added: list[tuple[int, ...]] = []
+    family = [GcdSubmodule(n, base)]  # checks k0 against n
     stream = _eligible_tuples(n, base)
     for _ in range(count - 1):
-        added.append(next(stream))
-        family.append(GcdSubmodule(n, base | set(added)))
+        # The stream yields exponent tuples of length n: nothing to check again.
+        family.append(GcdSubmodule._make(n, family[-1].exceptions | {next(stream)}))
     return family

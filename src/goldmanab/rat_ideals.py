@@ -4,9 +4,9 @@ Over the rationals an ideal splits, as a vector space, into primitive
 components indexed by canonical labels plus a subspace of the center.  A
 label packages central translates and rational weights; evaluating it at a
 non-central monomial spreads that monomial over its central-translation
-class.  A label stores its weights as a primitive integer vector, so
-labels compare and hash on integers.  Ideals are stored as a label set
-together with a row-reduced rational basis of the central part, which
+class.  Labels are built in one place, as primitive integer weight
+vectors, so they compare and hash on integers.  Ideals are stored as a
+label set with a row-reduced rational basis of the central part, which
 makes equality structural and membership an exact linear solve.
 
 Decomposition, closure and membership group an element's terms by class
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter, sub
+from operator import attrgetter, itemgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .abelian import (ModuleElement, Monomial, _check_coefficient, _exact_from_json, _json_shape,
@@ -44,21 +44,11 @@ class PrimitiveLabel(_Value):
     __slots__ = ("_monos", "_weights")
 
     def __new__(cls, pairs: Iterable[tuple[Monomial, Fraction]]):
-        pairs = sorted(_checked_pairs(pairs), key=lambda p: p[0])
-        if not pairs:
-            raise ValueError("a label needs at least one pair")
-        if len({m for m, _ in pairs}) != len(pairs):
-            raise ValueError("label monomials must be pairwise distinct")
-        if len({len(m) for m, _ in pairs}) > 1:
-            raise ValueError("label monomials must share one length")
-        if any(q == 0 for _, q in pairs):
-            raise ValueError("label weights must be nonzero")
+        pairs = _checked_pairs(pairs)
         least_mono, least_q = pairs[0]
         if not least_mono.is_identity() or least_q != 1:
             raise ValueError("label not canonical; use PrimitiveLabel.from_pairs")
-        # q_1 = 1, so the numerators over the lcm are primitive with w_1 > 0.
-        row = _rational(dict(pairs))._terms
-        return cls._make(tuple(row), tuple(row.values()))
+        return _label(_rational(dict(pairs))._terms)
 
     @classmethod
     def from_pairs(
@@ -71,17 +61,10 @@ class PrimitiveLabel(_Value):
         matters.
         """
         pairs = _checked_pairs(pairs)
-        if not pairs:
-            raise ValueError("a label needs at least one pair")
-        for m, q in pairs:
+        for m, _ in pairs:
             if not is_central(sig, m):
                 raise ValueError(f"label monomial {tuple(m)} is not central")
-            if q == 0:
-                raise ValueError("label weights must be nonzero")
-        pairs.sort(key=lambda p: p[0])
-        least_mono, least_q = pairs[0]
-        shift = least_mono.inverse()
-        return cls((m * shift, q / least_q) for m, q in pairs)
+        return _label(_rational(dict(pairs))._terms)
 
     @classmethod
     def trivial(cls, sig: SurfaceSignature) -> "PrimitiveLabel":
@@ -118,9 +101,31 @@ class PrimitiveLabel(_Value):
 
 
 def _checked_pairs(pairs: Iterable[tuple[Monomial, Fraction]]) -> list[tuple[Monomial, Fraction]]:
-    """Label pairs from outside: each exponent vector a Monomial, each weight a Fraction."""
-    return [(m if m.__class__ is Monomial else Monomial(m), _check_coefficient("Q", q))
-            for m, q in pairs]
+    """Outside label pairs as checked (Monomial, nonzero Fraction) pairs, sorted by monomial."""
+    pairs = sorted(((m if m.__class__ is Monomial else Monomial(m), _check_coefficient("Q", q))
+                    for m, q in pairs), key=itemgetter(0))
+    if not pairs:
+        raise ValueError("a label needs at least one pair")
+    if len({m for m, _ in pairs}) != len(pairs):
+        raise ValueError("label monomials must be pairwise distinct")
+    if len({len(m) for m, _ in pairs}) > 1:
+        raise ValueError("label monomials must share one length")
+    if any(q == 0 for _, q in pairs):
+        raise ValueError("label weights must be nonzero")
+    return pairs
+
+
+def _label(row: dict[Monomial, int]) -> PrimitiveLabel:
+    """Trusted: the label of nonzero integer weights on sorted, distinct monomials.
+
+    Translation by the least monomial keeps the order, and dividing by the
+    signed gcd makes the weights primitive with w_1 > 0.
+    """
+    base = next(iter(row))
+    weights = tuple(row.values())
+    g = gcd(*weights) if weights[0] > 0 else -gcd(*weights)
+    return PrimitiveLabel._make(tuple(tuple.__new__(Monomial, map(sub, m, base)) for m in row),
+                                tuple(w // g for w in weights))
 
 
 class Part(NamedTuple):
@@ -169,25 +174,11 @@ def _classes(
             classes.setdefault(key, []).append(mono)
         else:
             central[mono] = terms[mono]
-    # Every label starts with its base translated to the identity.
-    head = Monomial.identity(sig.n)
-    trivial = PrimitiveLabel._make((head,), (1,))
-    new = tuple.__new__
+    trivial = PrimitiveLabel.trivial(sig)
     parts = []
-    for base, *rest in classes.values():
-        num = terms[base]
-        if rest:
-            # Translation keeps the order, so the label is canonical as built;
-            # q_i = n_i / n_base, and the signed gcd makes w primitive, w_1 > 0.
-            weights = [num, *map(terms.__getitem__, rest)]
-            g = gcd(*weights) if num > 0 else -gcd(*weights)
-            label = PrimitiveLabel._make(
-                (head, *(new(Monomial, map(sub, m, base)) for m in rest)),
-                tuple(w // g for w in weights),
-            )
-        else:
-            label = trivial
-        parts.append((label, base, num))
+    for members in classes.values():
+        label = _label({m: terms[m] for m in members}) if len(members) > 1 else trivial
+        parts.append((label, members[0], terms[members[0]]))
     return parts, _lowest("Q", central, u._den)
 
 
@@ -271,6 +262,10 @@ class RationalIdeal(_Value):
         for u in central_basis:
             if not isinstance(u, ModuleElement):
                 raise TypeError(f"an ideal's central rows must be ModuleElements, got {u!r}")
+        lengths = {len(m) for u in central_basis for m in u._terms}
+        lengths.update(len(lab._monos[0]) for lab in labels)
+        if len(lengths) > 1:
+            raise ValueError(f"an ideal's monomials must share one length, not {sorted(lengths)}")
         return cls._make(labels, tuple(_rref(u.to_rational() for u in central_basis)))
 
     def sorted_labels(self) -> list[PrimitiveLabel]:

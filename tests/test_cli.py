@@ -381,6 +381,12 @@ class TestInputErrorBoundary:
         err = assert_input_error(capsys, *MEMBER, "--ideal", ideal_json((), [row]), "--elem", elem)
         assert "length" in err
 
+    def test_ideal_of_mixed_lengths(self, capsys):
+        rows = [{"ring": "Q", "terms": [{"exp": exp, "coef": "1"}]}
+                for exp in ([0, 0, 1], [0, 0, 1, 0])]
+        err = assert_input_error(capsys, *MEMBER, "--ideal", ideal_json((), rows), "--elem", ELEM)
+        assert err == "error: an ideal's monomials must share one length, not [3, 4]\n"
+
     def test_negative_samples(self, capsys):
         err = assert_input_error(capsys, *IK_CHECK, "--samples", "-5")
         assert "samples" in err
@@ -418,6 +424,18 @@ class TestInputErrorBoundary:
         # The JSON decoder and the Python parser give up with RecursionError,
         # or MemoryError when the parser's own stack overflows.
         assert_input_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("ik-family", "--K0", "{}", "--count", "1"),
+        ("ideal-check", "--closed", "1", "--rule", "ik", "--K", "{}", "--seed", "1"),
+    ], ids=["K0", "K"])
+    def test_long_tuple_set_is_cut_in_the_message(self, capsys, argv):
+        text = "[(1, 0), " * 12_500 + "("
+        argv = [text if arg == "{}" else arg for arg in argv]
+        err = assert_input_error(capsys, *argv)
+        option = argv[argv.index(text) - 1]
+        assert len(err.encode()) < 200
+        assert err == f"error: cannot parse {option} {text[:40]!r} ({len(text)} characters)\n"
 
     def test_program_fault_keeps_its_traceback(self, monkeypatch):
         def broken(args):

@@ -372,6 +372,16 @@ class TestRationalIdealConstructor:
         assert [u.terms() for u in rows] == before
         assert ideal.central_basis == (single((0, 0, 1), 1), single((0, 0, 2), 1))
 
+    @pytest.mark.parametrize("labels, rows", [
+        ((), [single((0, 0, 1), 1), single((0, 0, 1, 0), 1)]),
+        ([PrimitiveLabel([(Monomial((0, 0, 0, 0)), q(1))])], [single((0, 0, 1), 1)]),
+        ([PrimitiveLabel([(Monomial((0, 0, 0)), q(1))]),
+          PrimitiveLabel([(Monomial((0, 0, 0, 0)), q(1))])], []),
+    ], ids=["rows", "label-and-row", "labels"])
+    def test_monomials_must_share_one_length(self, labels, rows):
+        with pytest.raises(ValueError, match=r"share one length, not \[3, 4\]"):
+            RationalIdeal(labels, rows)
+
 
 class TestEquality:
     def test_same_label_different_base(self):
@@ -593,3 +603,84 @@ class TestCentralRowsAgainstFractionOracle:
             expected = not _reduce_vector(dict(u.terms()), basis)
             assert ideal_contains(sig, ideal, u) == expected
         assert ideal_contains(sig, ideal, combination)
+
+
+# The Fraction route as the oracle for labels: shift by the least monomial,
+# divide by its weight, and let the constructor check the canonical pairs.
+
+LABEL_SURFACES = [SurfaceSignature.with_boundary(g, b) for g, b in ((1, 2), (1, 3), (2, 3))]
+
+
+def _label_oracle(pairs):
+    least_mono, least_q = min(pairs, key=lambda p: p[0])
+    shift = least_mono.inverse()
+    return PrimitiveLabel((m * shift, w / least_q) for m, w in pairs)
+
+
+@st.composite
+def label_pairs(draw, sig):
+    """One to five pairs of distinct central monomials and nonzero rationals, unsorted."""
+    g2, rest = 2 * sig.genus, sig.n - 2 * sig.genus
+    tails = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rest),
+                          min_size=1, max_size=5, unique=True))
+    return [(Monomial((0,) * g2 + t), draw(rational_coeffs())) for t in tails]
+
+
+def _bumped(m):
+    """m with its last exponent, which is central when b >= 2, one higher."""
+    return Monomial((*m[:-1], m[-1] + 1))
+
+
+class TestLabelsAgainstFractionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_from_pairs_is_the_fraction_route(self, data):
+        sig = data.draw(st.sampled_from(LABEL_SURFACES))
+        pairs = data.draw(label_pairs(sig))
+        label = PrimitiveLabel.from_pairs(sig, pairs)
+        assert label == _label_oracle(pairs)
+        assert PrimitiveLabel(label.pairs) == label
+        assert label._weights[0] > 0 and gcd(*label._weights) == 1
+        shift = Monomial((0,) * 2 * sig.genus + data.draw(
+            st.tuples(*[st.integers(-3, 3)] * (sig.n - 2 * sig.genus))))
+        scale = data.draw(rational_coeffs())
+        moved = [(m * shift, w * scale) for m, w in pairs]
+        assert PrimitiveLabel.from_pairs(sig, moved) == label
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_single_fault_keeps_its_message(self, data):
+        sig = data.draw(st.sampled_from(LABEL_SURFACES))
+        pairs = data.draw(label_pairs(sig))
+        canonical = list(PrimitiveLabel.from_pairs(sig, pairs).pairs)
+        last = canonical[-1][0]
+        longer = Monomial((*last, 0))
+        non_central = Monomial((1, *pairs[0][0][1:]))
+        faults = {
+            "a label needs at least one pair": ([], []),
+            "label monomials must be pairwise distinct": (
+                pairs + [(pairs[0][0], q(1))], canonical + [(last, q(1))]),
+            "label weights must be nonzero": (
+                pairs + [(_bumped(max(m for m, _ in pairs)), q(0))],
+                canonical + [(_bumped(last), q(0))]),
+            "label monomials must share one length": (None, canonical + [(longer, q(1))]),
+            f"label monomial {tuple(non_central)} is not central": (
+                pairs + [(non_central, q(1))], None),
+            "label not canonical; use PrimitiveLabel.from_pairs": (
+                None, [(m, w * 2) for m, w in canonical]),
+        }
+        for message, (raw, canon) in faults.items():
+            if raw is not None:
+                with pytest.raises(ValueError) as caught:
+                    PrimitiveLabel.from_pairs(sig, raw)
+                assert str(caught.value) == message
+            if canon is not None:
+                with pytest.raises(ValueError) as caught:
+                    PrimitiveLabel(canon)
+                assert str(caught.value) == message
+
+    def test_a_monomial_of_the_wrong_length_is_a_length_fault_first(self):
+        # Mixed lengths are refused before centrality is asked of the surface.
+        pairs = [(Monomial((0, 0, 1)), q(1)), (Monomial((0, 0, 0, 1)), q(2))]
+        with pytest.raises(ValueError, match="label monomials must share one length"):
+            PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, pairs)
