@@ -149,7 +149,8 @@ def _cmd_ideal_closure(args) -> tuple[dict, int]:
 
 def _cmd_ideal_member(args) -> tuple[dict, int]:
     sig = _surface(args)
-    ideal = _parse_json(args.ideal, "--ideal", rat_ideals.RationalIdeal.from_json_obj)
+    ideal = _parse_json(args.ideal, "--ideal",
+                        lambda obj: rat_ideals.RationalIdeal.from_json_obj(obj, sig))
     elem = _parse_json(args.elem, "--elem", ModuleElement.from_json_obj)
     verdict = rat_ideals.ideal_contains(sig, ideal, elem)
     return {"verdict": verdict}, 0 if verdict else 1

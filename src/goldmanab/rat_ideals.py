@@ -1,34 +1,36 @@
 """Classification machinery for ideals of the rational monomial algebra.
 
-Over the rationals an ideal splits, as a vector space, into primitive
-components indexed by canonical labels plus a subspace of the center.  A
-label packages central translates and rational weights; evaluating it at a
-non-central monomial spreads that monomial over its central-translation
-class.  Labels are built in one place, as primitive integer weight
-vectors, so they compare and hash on integers.  Ideals are stored as a
-label set with a row-reduced rational basis of the central part, which
-makes equality structural and membership an exact linear solve.
+Every ideal is a pair ``(J, V)`` (arXiv 1712.04141): ``J`` is one ideal of
+the Laurent ring ``Q[C]`` of the center, shared by every non-central
+central-translation class, and ``V`` is a subspace of the central span.  A
+class's canonical label, a primitive integer weight vector translated to
+the identity, is its polynomial in ``Q[C]`` up to a unit.
+``RationalIdeal.labels`` holds the canonical generators of ``J``, and ``V``
+is a row-reduced basis of integer-numerator elements.
 
-Decomposition, closure and membership group an element's terms by class
-in one helper, which reads the element's integer numerators: it divides
-each class by one gcd and keeps the central terms as one element, and
-central rows reduce by element arithmetic, with no ``Fraction`` per term.
-Closure and membership build no decomposition objects and hash each
-distinct label once, the trivial label of all one-term classes included.
+A one-term class is a unit, so closure counts terms per class and builds
+no label for ``J = (1)``, where membership is the central test alone.
+Otherwise a class is in ``J`` when a generator divides its label, which is
+exact for principal ``J`` (always when ``b <= 2``) and never accepts a
+non-member.  ``MAX_REDUCTION_STEPS`` caps the polynomial work of one call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from operator import attrgetter, itemgetter, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import add, attrgetter, itemgetter, sub
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .abelian import (ModuleElement, Monomial, _check_coefficient, _exact_from_json, _json_shape,
                       _lowest, _merge_terms, _rational)
 from .bracket import bracket
 from .symplectic import SurfaceSignature, _require_length, is_central, symplectic_product
 from .words import _check_integer, _Value
+
+MAX_REDUCTION_STEPS = 10_000  # polynomial reduction steps of one closure, ideal or membership call
 
 
 class PrimitiveLabel(_Value):
@@ -51,9 +53,8 @@ class PrimitiveLabel(_Value):
         return _label(_rational(dict(pairs))._terms)
 
     @classmethod
-    def from_pairs(
-        cls, sig: SurfaceSignature, pairs: Iterable[tuple[Monomial, Fraction]]
-    ) -> "PrimitiveLabel":
+    def from_pairs(cls, sig: SurfaceSignature,
+                   pairs: Iterable[tuple[Monomial, Fraction]]) -> "PrimitiveLabel":
         """Canonicalize arbitrary (central monomial, weight) data into a label.
 
         The translation and scaling residuals are dropped: the primitive
@@ -148,9 +149,27 @@ class CentralDecomposition(NamedTuple):
         return self.central + _rational(_merge_terms(parts))
 
 
-def _classes(
-    sig: SurfaceSignature, u: ModuleElement
-) -> tuple[list[tuple[PrimitiveLabel, Monomial, int]], ModuleElement]:
+def _terms_on(sig: SurfaceSignature, u: ModuleElement) -> dict[Monomial, int]:
+    """u's numerators, once u is checked rational and, by one term, of the surface's length."""
+    if u.ring != "Q":
+        raise ValueError("decomposition is defined on the rational module")
+    if u._terms:
+        _require_length(sig, next(iter(u._terms)))
+    return u._terms
+
+
+def _split(sig: SurfaceSignature, u: ModuleElement) -> tuple[Counter, ModuleElement]:
+    """The number of u's terms in each non-central class, keyed by the first
+    2g exponents, and u's central terms as an element."""
+    terms, g2 = _terms_on(sig, u), 2 * sig.genus
+    counts = Counter(map(itemgetter(slice(0, g2)), terms))
+    if counts.pop((0,) * g2, 0):
+        return counts, _lowest("Q", {m: c for m, c in terms.items() if not any(m[:g2])}, u._den)
+    return counts, ModuleElement._make("Q", {}, 1)
+
+
+def _classes(sig: SurfaceSignature,
+             u: ModuleElement) -> tuple[list[tuple[PrimitiveLabel, Monomial, int]], ModuleElement]:
     """Group u's terms by central-translation class.
 
     Returns ``(parts, central)``: one ``(label, base, numerator)`` per class
@@ -158,12 +177,7 @@ def _classes(
     coefficient being ``numerator / u._den``, and the central terms as
     an element.  Every one-term class carries the same trivial label object.
     """
-    if u.ring != "Q":
-        raise ValueError("decomposition is defined on the rational module")
-    terms, g2 = u._terms, 2 * sig.genus
-    # All monomials of an element share one length, so one term tells.
-    if terms:
-        _require_length(sig, next(iter(terms)))
+    terms, g2 = _terms_on(sig, u), 2 * sig.genus
     classes: dict[tuple[int, ...], list[Monomial]] = {}
     central: dict[Monomial, int] = {}
     # Sorting the monomials alone compares no coefficients.  Sorted, each
@@ -182,15 +196,6 @@ def _classes(
     return parts, _lowest("Q", central, u._den)
 
 
-def _labels(parts: Sequence[tuple[PrimitiveLabel, Monomial, int]]) -> set[PrimitiveLabel]:
-    """The distinct labels of :func:`_classes` parts.
-
-    Deduplicating by identity first hashes the shared trivial label once,
-    not once per one-term class.
-    """
-    return set({id(label): label for label, _, _ in parts}.values())
-
-
 def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecomposition:
     """Split a rational element by central-translation classes of its support.
 
@@ -202,18 +207,79 @@ def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecom
     """
     parts, central = _classes(sig, u)
     return CentralDecomposition(
-        tuple(Part(label, base, Fraction(num, u._den)) for label, base, num in parts),
-        central,
-    )
+        tuple(Part(label, base, Fraction(num, u._den)) for label, base, num in parts), central)
 
 
-def label_bracket_identity_holds(
-    sig: SurfaceSignature, label: PrimitiveLabel, x: Monomial, y: Monomial
-) -> bool:
+def label_bracket_identity_holds(sig: SurfaceSignature, label: PrimitiveLabel, x: Monomial,
+                                 y: Monomial) -> bool:
     """Exact check of [label at x, y] == <x, y> * (label at x*y)."""
     lhs = bracket(sig, label.element_at(x), ModuleElement.single("Q", y, Fraction(1)))
     rhs = label.element_at(x * y).scaled(Fraction(symplectic_product(sig, x, y)))
     return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# The generators of J as primitive integer polynomials: maps from exponent
+# tuples to integer weights.
+
+
+def _top_reduce(r: dict, f: dict, steps: Iterator[int]) -> dict:
+    """r less multiples of f while f's lex-leading monomial divides r's.
+
+    Fraction-free (Knuth, TAOCP vol. 2, 4.6.1): a step scales r by f's
+    leading weight over their gcd, clears r's leading term with a shifted
+    multiple of f and divides out the content, so what is returned is
+    primitive.  ``steps`` counts the steps of one whole call.
+    """
+    lead = max(f)
+    lc = f[lead]
+    while r:
+        top = max(r)
+        shift = tuple(map(sub, top, lead))
+        if min(shift) < 0:
+            break
+        if next(steps) == MAX_REDUCTION_STEPS:
+            raise ValueError(f"polynomial reduction needs more than MAX_REDUCTION_STEPS "
+                             f"({MAX_REDUCTION_STEPS}) steps")
+        g = gcd(lc, r[top])
+        a, b = lc // g, r[top] // g
+        r = _merge_terms(((m, w * a) for m, w in r.items()),
+                         ((tuple(map(add, m, shift)), -b * w) for m, w in f.items()))
+        content = gcd(*r.values())
+        if content > 1:
+            r = {m: w // content for m, w in r.items()}
+    return r
+
+
+def _polynomial(label: PrimitiveLabel) -> dict:
+    """The label's polynomial, moved into N^n by its coordinate-wise minima."""
+    low = tuple(map(min, zip(*label._monos)))
+    return {tuple(map(sub, m, low)): w for m, w in zip(label._monos, label._weights)}
+
+
+def _generators(labels: frozenset) -> frozenset:
+    """The canonical generators of the ideal of Q[C] that the labels generate.
+
+    The trivial label alone when it is present.  When all label monomials
+    are nonzero in one coordinate only (always when b = 2), the labels are
+    polynomials in one variable with nonzero constant terms: their gcd by
+    Euclid, the trivial label for a gcd of 1.  Otherwise the labels as they are.
+    """
+    unit = frozenset(label for label in labels if len(label._weights) == 1)
+    if unit or len(labels) < 2:
+        return unit or labels
+    if len({i for label in labels for m in label._monos for i, e in enumerate(m) if e}) > 1:
+        return labels
+    # Lowest degree first; the last monomial of a one-variable label is its degree.
+    polys = [dict(zip(lab._monos, lab._weights))
+             for lab in sorted(labels, key=lambda lab: (lab._monos[::-1], lab._weights))]
+    steps, g = count(), polys[0]
+    for p in polys[1:]:
+        while p:
+            g, p = p, _top_reduce(g, p, steps)
+        if len(g) == 1:
+            break
+    return frozenset({_label(dict(sorted(g.items())))})
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +311,12 @@ def _rref(vectors: Iterable[ModuleElement]) -> list[ModuleElement]:
 
 
 class RationalIdeal(_Value):
-    """An ideal presented by its label set and a reduced central basis."""
+    """An ideal (J, V): the canonical generators of J and a reduced basis of V."""
 
     __slots__ = ("labels", "central_basis")
 
-    def __new__(
-        cls,
-        labels: Iterable[PrimitiveLabel] = (),
-        central_basis: Iterable[ModuleElement] = (),
-    ):
+    def __new__(cls, labels: Iterable[PrimitiveLabel] = (),
+                central_basis: Iterable[ModuleElement] = ()):
         labels = frozenset(labels)
         for label in labels:
             if not isinstance(label, PrimitiveLabel):
@@ -266,7 +329,8 @@ class RationalIdeal(_Value):
         lengths.update(len(lab._monos[0]) for lab in labels)
         if len(lengths) > 1:
             raise ValueError(f"an ideal's monomials must share one length, not {sorted(lengths)}")
-        return cls._make(labels, tuple(_rref(u.to_rational() for u in central_basis)))
+        return cls._make(_generators(labels),
+                         tuple(_rref(u.to_rational() for u in central_basis)))
 
     def sorted_labels(self) -> list[PrimitiveLabel]:
         return sorted(self.labels, key=attrgetter("pairs"))
@@ -275,72 +339,80 @@ class RationalIdeal(_Value):
         return not self.labels and not self.central_basis
 
     def __repr__(self) -> str:
-        return (
-            f"RationalIdeal(labels={len(self.labels)}, "
-            f"central_rank={len(self.central_basis)})"
-        )
+        return f"RationalIdeal(labels={len(self.labels)}, central_rank={len(self.central_basis)})"
 
     def to_json_obj(self) -> dict:
-        return {
-            "labels": [lab.to_json_obj() for lab in self.sorted_labels()],
-            "central_basis": [u.to_json_obj() for u in self.central_basis],
-        }
+        return {"labels": [lab.to_json_obj() for lab in self.sorted_labels()],
+                "central_basis": [u.to_json_obj() for u in self.central_basis]}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "RationalIdeal":
+    def from_json_obj(cls, obj: dict, sig: Optional[SurfaceSignature] = None) -> "RationalIdeal":
+        """Given a surface, the labels must fit it before J's generators replace them."""
         obj = _json_shape(obj, dict, "an ideal")
-        return cls(
-            (PrimitiveLabel.from_json_obj(lab)
-             for lab in _json_shape(obj["labels"], list, "'labels' of an ideal")),
-            (ModuleElement.from_json_obj(u)
-             for u in _json_shape(obj["central_basis"], list, "'central_basis' of an ideal")),
-        )
+        labels = [PrimitiveLabel.from_json_obj(lab)
+                  for lab in _json_shape(obj["labels"], list, "'labels' of an ideal")]
+        if sig is not None:
+            _require_central(sig, [lab._monos[-1] for lab in labels])
+        return cls(labels, (ModuleElement.from_json_obj(u) for u in
+                            _json_shape(obj["central_basis"], list, "'central_basis' of an ideal")))
 
 
-def ideal_closure(
-    sig: SurfaceSignature, generators: Iterable[ModuleElement]
-) -> RationalIdeal:
-    """Smallest label-and-center ideal containing the generators.
+def _require_central(sig: SurfaceSignature, monos: Iterable[Monomial]) -> None:
+    for mono in monos:
+        if not is_central(sig, mono):  # raises on a length other than sig.n
+            raise ValueError(f"ideal monomial {tuple(mono)} is not central")
 
-    Every label appearing in a generator's decomposition contributes its
-    whole primitive component, and the central remainders span the central
-    part; both facts follow from bracketing the generators down to single
-    components.  Each generator's classes are grouped once, as
-    :func:`decompose_by_center` groups them, and each distinct label is
-    collected once.
+
+def ideal_closure(sig: SurfaceSignature, generators: Iterable[ModuleElement]) -> RationalIdeal:
+    """Smallest ideal containing the generators.
+
+    Bracketing a generator down to single classes puts each class polynomial
+    in ``J`` and each central remainder in ``V``.  A one-term class is a
+    unit, so class labels are built, and reduced to ``J``'s canonical
+    generators, only when no class of any generator has one term.
     """
-    labels: set[PrimitiveLabel] = set()
-    central: list[ModuleElement] = []
+    unit, central, pending = False, [], []
     for gen in generators:
-        parts, rest = _classes(sig, gen)
-        labels |= _labels(parts)
+        counts, rest = _split(sig, gen)
         central.append(rest)
-    # Labels and rows built here need none of the constructor's checks.
-    return RationalIdeal._make(frozenset(labels), tuple(_rref(central)))
+        if counts and not unit:
+            unit = 1 in counts.values()
+            pending.append(gen)
+    labels = frozenset({PrimitiveLabel.trivial(sig)}) if unit else _generators(frozenset(
+        label for gen in pending for label, _, _ in _classes(sig, gen)[0]))
+    # Rows built here need none of the constructor's checks.
+    return RationalIdeal._make(labels, tuple(_rref(central)))
 
 
 def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement) -> bool:
-    """Exact membership: labels of all parts present, central part in span.
+    """Exact membership: each class polynomial in J, and the central part in V.
 
-    The classes of ``u`` are grouped as :func:`decompose_by_center` groups
-    them, and each distinct label is looked up once.  An ideal that does
-    not fit the surface raises ValueError: every monomial of a central row
-    is tested.  The monomials of a label share one length, and a label
-    starts at the identity, so a non-central monomial in it sorts after all
-    central ones: its last pair is central only if every pair is.
+    In the unit ideal every class polynomial is a member, and in the zero
+    ideal none is, so only the central split is made.  Otherwise each class
+    label must be a generator of ``J`` or be divisible by one.  An ideal
+    that does not fit the surface raises ValueError.  A label starts at the
+    identity, so its last monomial is central only if every one is.
     """
-    probes = [lab._monos[-1] for lab in ideal.labels]
-    probes += [mono for row in ideal.central_basis for mono in row._terms]
-    for mono in probes:
-        if not is_central(sig, mono):  # raises on a length other than sig.n
-            raise ValueError(f"ideal monomial {tuple(mono)} is not central")
-    parts, central = _classes(sig, u)
-    return _labels(parts) <= ideal.labels and _reduce(central, ideal.central_basis).is_zero()
+    labels = ideal.labels
+    _require_central(sig, [lab._monos[-1] for lab in labels])
+    _require_central(sig, [mono for row in ideal.central_basis for mono in row._terms])
+    if not labels or any(len(lab._weights) == 1 for lab in labels):
+        counts, central = _split(sig, u)
+        if counts and not labels:
+            return False
+    else:
+        parts, central = _classes(sig, u)
+        steps, polys = count(), [_polynomial(lab) for lab in labels]
+        for label, _, _ in parts:
+            # A nonzero remainder by every generator: none divides the class.
+            if label not in labels and all(_top_reduce(_polynomial(label), f, steps)
+                                           for f in polys):
+                return False
+    return _reduce(central, ideal.central_basis).is_zero()
 
 
-def verify_bracket_closure(
-    sig: SurfaceSignature, ideal: RationalIdeal, rng, samples: int = 200
-) -> Optional[dict]:
+def verify_bracket_closure(sig: SurfaceSignature, ideal: RationalIdeal, rng,
+                           samples: int = 200) -> Optional[dict]:
     """Sampled guard: bracketing members with monomials stays inside.
 
     Draws random combinations of primitive terms and central basis vectors,
@@ -402,10 +474,6 @@ def closed_surface_classification_check(sig: SurfaceSignature, rng, samples: int
             coeff = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             gens.append(ModuleElement.single("Q", Monomial(exps), coeff))
         ideal = ideal_closure(sig, gens)
-        if not ideal.labels <= {trivial}:
-            return False
-        if len(ideal.central_basis) > 1:
-            return False
-        if ideal.central_basis and ideal.central_basis[0] != identity_line:
+        if not (ideal.labels <= {trivial} and ideal.central_basis in ((), (identity_line,))):
             return False
     return True

@@ -1,35 +1,45 @@
 """The CLI against the library on generated input.
 
 Each command's exit code and stdout must equal what the library gives for
-the same input.  These cases cover the rational-ideal commands on surfaces
-whose center has rank at least 1, with generators that carry central terms,
-and bad input to every subcommand, which must exit 2 with one error line.
+the same input, within a time cap per call.  These cases cover the
+rational-ideal commands on surfaces whose center has rank at least 1, with
+generators that carry central terms; ``ab``, ``center``, ``ideal-check``,
+``ik-family``, ``chain-project`` and ``chain-separate``; and bad input to
+every subcommand, which must exit 2 with one error line.
 """
 
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from goldmanab.abelian import ModuleElement, Monomial
+from goldmanab import chain, int_ideals
+from goldmanab.abelian import ModuleElement, Monomial, abelianize
 from goldmanab.cli import _SUBCOMMANDS, main
-from goldmanab.rat_ideals import ideal_closure, ideal_contains
-from goldmanab.symplectic import SurfaceSignature
+from goldmanab.rat_ideals import PrimitiveLabel, RationalIdeal, ideal_closure, ideal_contains
+from goldmanab.symplectic import SurfaceSignature, center_generators
+from goldmanab.words import are_conjugate, parse_word
 
-from conftest import rational_coeffs
+from conftest import SIGNATURES, rational_coeffs, words
 
 # Boundary count b >= 2: the center has rank b - 1.
 SURFACES = [SurfaceSignature.with_boundary(g, b) for g, b in ((0, 3), (1, 3), (2, 2))]
 
 
+SECONDS_PER_CALL = 2
+
+
 def _run(*argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    assert time.perf_counter() - start < SECONDS_PER_CALL
     return code, out.getvalue(), err.getvalue()
 
 
@@ -85,6 +95,119 @@ class TestRationalIdealCommandsMatchTheLibrary:
                                   "--ideal", json.dumps(ideal.to_json_obj()),
                                   "--elem", json.dumps(elem.to_json_obj()))
             assert (code, out, err) == (0 if verdict else 1, _as_json({"verdict": verdict}), "")
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_the_old_multi_label_form_gives_the_canonical_verdicts(self, data):
+        # Before labels held J's generators, a closure listed the trivial
+        # label next to the labels of its multi-term classes.
+        sig = data.draw(st.sampled_from(SURFACES[1:]))
+        tails = st.tuples(*[st.integers(-2, 2)] * (sig.n - 2 * sig.genus))
+        others = [PrimitiveLabel.from_pairs(sig, [(Monomial((0,) * 2 * sig.genus + t), c)
+                                                  for t, c in zip(ts, cs)])
+                  for ts, cs in data.draw(st.lists(st.tuples(
+                      st.lists(tails, min_size=2, max_size=3, unique=True),
+                      st.lists(rational_coeffs(), min_size=3, max_size=3)), max_size=3))]
+        rows = [u.to_json_obj() for u in data.draw(st.lists(mixed_elements(sig), max_size=2))
+                if u._terms and not any(any(m[:2 * sig.genus]) for m in u._terms)]
+        labels = [PrimitiveLabel.trivial(sig), *others]
+        old = {"labels": [lab.to_json_obj() for lab in labels], "central_basis": rows}
+        canonical = RationalIdeal.from_json_obj(old).to_json_obj()
+        assert canonical["labels"] == [PrimitiveLabel.trivial(sig).to_json_obj()]
+        for elem in data.draw(st.lists(mixed_elements(sig), min_size=1, max_size=3)):
+            calls = [_run("ideal-member", *_surface_args(sig), "--ideal", json.dumps(ideal),
+                          "--elem", json.dumps(elem.to_json_obj())) for ideal in (old, canonical)]
+            assert calls[0] == calls[1] and calls[0][0] in (0, 1)
+
+
+def _words_text(n, max_len=6):
+    return words(n, max_len).map(str)
+
+
+class TestOtherCommandsMatchTheLibrary:
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_ab(self, data):
+        sig = data.draw(st.sampled_from(SIGNATURES))
+        texts = data.draw(st.lists(_words_text(sig.n), min_size=1, max_size=3))
+        coefs = data.draw(st.lists(st.one_of(st.integers(-9, 9), rational_coeffs()),
+                                   min_size=len(texts), max_size=len(texts)))
+        # The CLI reads ring Z when every coefficient prints as an integer.
+        ring = "Z" if all(Fraction(c).denominator == 1 for c in coefs) else "Q"
+        terms = [(int(c) if ring == "Z" else Fraction(c), parse_word(t, sig.n))
+                 for c, t in zip(coefs, texts)]
+        code, out, err = _run("ab", *_surface_args(sig), "--coefs=" + ",".join(map(str, coefs)),
+                              *texts)
+        assert (code, out, err) == (0, _as_json(abelianize(terms, sig.n, ring).to_json_obj()), "")
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda sig: sig.describe())
+    def test_center(self, sig):
+        expected = {"generators": [f"a{i}" for i in center_generators(sig)]}
+        assert _run("center", *_surface_args(sig)) == (0, _as_json(expected), "")
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_ideal_check(self, data):
+        sig = data.draw(st.sampled_from(SIGNATURES))
+        box, seed = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 10**6))
+        samples = data.draw(st.integers(0, 200))
+        if data.draw(st.booleans()):
+            k = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * sig.n), max_size=3))
+            sub, rule = int_ideals.GcdSubmodule(sig.n, k), ["ik", "--K", str(k)]
+        else:
+            radius = data.draw(st.integers(0, 2))
+            points = st.tuples(*[st.integers(-radius, radius)] * sig.n)
+            values = data.draw(st.dictionaries(points, st.integers(0, 4), max_size=4))
+            sub = int_ideals.TableSubmodule(sig.n, radius, values)
+            table = {"radius": radius, "values": [[list(p), a] for p, a in values.items()]}
+            rule = ["table", "--table", json.dumps(table)]
+        report = int_ideals.bracket_closure_check(sig, sub, box, samples, seed=seed)
+        expected = {"verdict": report.ok, "seed": seed, "checked": report.checked,
+                    "skipped": report.skipped}
+        if report.counterexample is not None:
+            expected["counterexample"] = report.counterexample
+        code, out, err = _run("ideal-check", *_surface_args(sig), "--rule", *rule,
+                              "--box", str(box), "--samples", str(samples), "--seed", str(seed))
+        assert (code, out, err) == (0 if report.ok else 1, _as_json(expected), "")
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_ik_family(self, data):
+        n = data.draw(st.integers(1, 3))
+        k0 = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3))
+        count = data.draw(st.integers(1, 6))
+        family = int_ideals.gcd_submodule_family(k0, count)
+        expected = {"submodules": [{"K": [list(t) for t in sorted(sub.exceptions)]}
+                                   for sub in family]}
+        code, out, err = _run("ik-family", "--K0", str(k0), "--count", str(count))
+        assert (code, out, err) == (0, _as_json(expected), "")
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_chain_project(self, data):
+        n = data.draw(st.integers(1, 3))
+        word = data.draw(words(n, 8, 9))
+        c, level = data.draw(st.integers(1, n)), data.draw(st.integers(0, 5))
+        image = chain.project_word(parse_word(str(word), n), level, c)
+        code, out, err = _run("chain-project", "--n", str(level), "--c", str(c), str(word))
+        assert (code, out, err) == (0, _as_json({"word": str(image.to_word())}), "")
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_chain_separate(self, data):
+        n = 2
+        a, b = data.draw(words(n, 6, 9)), data.draw(words(n, 6, 9))
+        c, nmax = data.draw(st.integers(1, n)), data.draw(st.integers(0, 6))
+        if are_conjugate(a, b):
+            expected, want = {"result": "conjugate"}, 1
+        else:
+            level = chain.separation_level(a, b, c, nmax)
+            expected, want = ({"result": "not separated", "nmax": nmax}, 1) if level is None \
+                else ({"level": level}, 0)
+        code, out, err = _run("chain-separate", "--c", str(c), "--nmax", str(nmax),
+                              str(a), str(b))
+        assert (code, out, err) == (want, _as_json(expected), "")
 
 
 # Bad input that argparse accepts, so that the handler itself must refuse it.

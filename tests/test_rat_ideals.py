@@ -1,6 +1,11 @@
+import contextlib
+import importlib
+import io
 import json
 import random
+import time
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 import pytest
@@ -9,7 +14,9 @@ import hypothesis.strategies as st
 
 from goldmanab.abelian import ModuleElement, Monomial
 from goldmanab.bracket import bracket
+from goldmanab.cli import main
 from goldmanab.rat_ideals import (
+    MAX_REDUCTION_STEPS,
     PrimitiveLabel,
     RationalIdeal,
     closed_surface_classification_check,
@@ -23,6 +30,8 @@ from goldmanab.sampling import random_label, random_noncentral_monomial
 from goldmanab.symplectic import SurfaceSignature
 
 from conftest import elements, monomials, rational_coeffs
+
+rat_ideals = importlib.import_module("goldmanab.rat_ideals")
 
 TORUS = SurfaceSignature.closed(1)
 ONE_HOLED_TORUS = SurfaceSignature.with_boundary(1, 2)
@@ -294,17 +303,16 @@ class TestClosure:
     @given(elements(4, "Q", max_terms=6, radius=2), elements(4, "Q", max_terms=6, radius=2))
     def test_membership_matches_rebuilt_rows(self, gen, u):
         # ideal_contains reads the stored reduced rows; rebuilding each row
-        # as a vector and taking its least monomial as pivot must agree.
+        # as a vector and taking its least monomial as pivot must agree, and
+        # each class polynomial must be a multiple of a generator of J.
         sig = TWO_HOLED_TORUS
         ideal = ideal_closure(sig, [gen])
         rows = [{m: Fraction(c) for m, c in row.terms()} for row in ideal.central_basis]
         basis = [(min(row), row) for row in rows]
         central = decompose_by_center(sig, gen).central + decompose_by_center(sig, u).central
         for candidate in (u, gen, bracket(sig, gen, u), central):
-            dec = decompose_by_center(sig, candidate)
-            expected = all(part.label in ideal.labels for part in dec.parts) and not _reduce_vector(
-                {m: Fraction(c) for m, c in dec.central.terms()}, basis
-            )
+            polys, rest = _class_polys(sig, candidate)
+            expected = _in_j(ideal, polys) and not _reduce_vector(dict(rest.terms()), basis)
             assert ideal_contains(sig, ideal, candidate) == expected
 
     def test_label_of_wrong_length_rejected(self):
@@ -341,10 +349,10 @@ class TestClosure:
 
     @pytest.mark.parametrize("sig, labels, room", [
         # g = 0: the box has one translation class, so two labels cannot
-        # both sit in a member.
-        (SurfaceSignature.with_boundary(0, 3), [[], [((1, 0), 2)]], 1),
-        # g = 1: about 100 of 200 labels per member, against 80 classes.
-        (ONE_HOLED_TORUS, [[((0, 0, k), 1)] for k in range(1, 201)], 80),
+        # both sit in a member.  Labels in two variables stay two generators.
+        (SurfaceSignature.with_boundary(0, 3), [[((1, 0), 2)], [((0, 1), 1)]], 1),
+        # g = 1: about 100 of 200 labels 1 + t1^k t2 per member, against 80 classes.
+        (TWO_HOLED_TORUS, [[((0, 0, k, 1), 1)] for k in range(1, 201)], 80),
     ], ids=["genus0", "genus1"])
     def test_bracket_closure_guard_runs_out_of_classes(self, sig, labels, room):
         identity = (Monomial.identity(sig.n), q(1))
@@ -501,19 +509,97 @@ def class_elements(draw, sig, shape):
     return ModuleElement("Q", terms)
 
 
+# The (J, V) oracles on Fraction polynomials keyed by exponent vectors: a
+# class is the polynomial of its terms over its least monomial, J holds it
+# when a generator divides it (textbook division), and the central part
+# must add no rank to V.
+
+def _class_polys(sig, u):
+    """u's non-central classes as central Fraction polynomials, and its central part."""
+    g2 = 2 * sig.genus
+    classes, central = {}, []
+    for mono, coef in u.terms():
+        if any(mono[:g2]):
+            classes.setdefault(mono[:g2], []).append((mono, coef))
+        else:
+            central.append((mono, coef))
+    polys = [{m * terms[0][0].inverse(): c for m, c in terms} for terms in classes.values()]
+    return polys, ModuleElement("Q", central)
+
+
+def _into_n(p):
+    """p times the monomial that makes its least exponent in every coordinate 0."""
+    low = [min(e) for e in zip(*p)]
+    return {tuple(a - b for a, b in zip(m, low)): c for m, c in p.items()}
+
+
+def _divides(f, p):
+    """Whether f divides p: lex division by one polynomial leaves no remainder."""
+    f, r = _into_n(f), _into_n(p)
+    lead = max(f)
+    while r:
+        top = max(r)
+        shift = [a - b for a, b in zip(top, lead)]
+        if min(shift) < 0:
+            return False
+        q = r[top] / f[lead]
+        for m, c in f.items():
+            m = tuple(a + b for a, b in zip(m, shift))
+            r[m] = r.get(m, 0) - q * c
+            if not r[m]:
+                del r[m]
+    return True
+
+
+def _in_j(ideal, polys):
+    return all(any(_divides(dict(f.pairs), p) for f in ideal.labels) for p in polys)
+
+
+def _gcd_oracle(polys):
+    """The gcd of one-variable Fraction polynomials {degree: coefficient}, by Euclid."""
+    def remainder(a, b):
+        a, top = dict(a), max(b)
+        while a and max(a) >= top:
+            shift = max(a) - top
+            q = a[max(a)] / b[top]
+            for d, c in b.items():
+                a[d + shift] = a.get(d + shift, 0) - q * c
+                if not a[d + shift]:
+                    del a[d + shift]
+        return a
+
+    g = {}
+    for b in polys:
+        while b:
+            g, b = b, remainder(g, b)
+    return g
+
+
 def _closure_oracle(sig, generators):
-    """The union of the part labels and the span of the central parts."""
-    decs = [decompose_by_center(sig, gen) for gen in generators]
-    return RationalIdeal({part.label for dec in decs for part in dec.parts},
-                         [dec.central for dec in decs])
+    """J's generators, from all class polynomials, and V's reduced rows."""
+    polys, central = [], []
+    for gen in generators:
+        classes, rest = _class_polys(sig, gen)
+        polys += classes
+        central.append(rest)
+    coords = {i for p in polys for m in p for i, e in enumerate(m) if e}
+    if any(len(p) == 1 for p in polys):
+        labels = {PrimitiveLabel.trivial(sig)}
+    elif len(coords) == 1:
+        [j] = coords
+        g = _gcd_oracle([{m[j]: c for m, c in p.items()} for p in polys])
+        labels = {PrimitiveLabel.from_pairs(
+            sig, [(Monomial(d if i == j else 0 for i in range(sig.n)), c) for d, c in g.items()])}
+    else:
+        labels = {PrimitiveLabel.from_pairs(sig, p.items()) for p in polys}
+    return frozenset(labels), RationalIdeal((), central).central_basis
 
 
 def _contains_oracle(sig, ideal, u):
-    """Every part label in the ideal, and the central part adds no rank."""
-    dec = decompose_by_center(sig, u)
-    rank = len(RationalIdeal((), [*ideal.central_basis, dec.central]).central_basis)
-    return all(part.label in ideal.labels for part in dec.parts) and rank == len(
-        ideal.central_basis)
+    """Every class polynomial in J, and the central part adds no rank to V."""
+    polys, central = _class_polys(sig, u)
+    rank = len(RationalIdeal((), [*ideal.central_basis, central]).central_basis)
+    return _in_j(ideal, polys) and rank == len(ideal.central_basis)
 
 
 def _member_like(sig, ideal, rng):
@@ -536,7 +622,7 @@ class TestAgainstDecompositionOracle:
     def test_closure_and_membership(self, sig, shape, data):
         gens = data.draw(st.lists(class_elements(sig, shape), min_size=1, max_size=3))
         ideal = ideal_closure(sig, gens)
-        assert ideal == _closure_oracle(sig, gens)
+        assert (ideal.labels, ideal.central_basis) == _closure_oracle(sig, gens)
         rng = random.Random(data.draw(st.integers(0, 2**16)))
         candidates = [*gens, _member_like(sig, ideal, rng), data.draw(class_elements(sig, shape)),
                       bracket(sig, gens[0], data.draw(class_elements(sig, "one")))]
@@ -544,19 +630,17 @@ class TestAgainstDecompositionOracle:
             assert ideal_contains(sig, ideal, u) == _contains_oracle(sig, ideal, u)
 
     def test_sums_of_members_keep_their_verdicts(self):
-        # Sums of members whose classes merge are reported as non-members: the
-        # label of the merged class is not in the ideal.  This is the known
-        # defect of ROADMAP item 1; until it is fixed the verdicts stay as the
-        # decomposition oracle gives them.
+        # Sums of members are members, also where their classes merge: the
+        # merged class polynomial is a sum of multiples of J's generator.
         sig = ONE_HOLED_TORUS
         x, xc = single((1, 0, 0), 1), single((1, 0, 1), 1)
         ideal = ideal_closure(sig, [x])
-        assert ideal == _closure_oracle(sig, [x])
-        assert ideal_contains(sig, ideal, x + xc) is _contains_oracle(sig, ideal, x + xc) is False
+        assert (ideal.labels, ideal.central_basis) == _closure_oracle(sig, [x])
+        assert ideal_contains(sig, ideal, x + xc) is _contains_oracle(sig, ideal, x + xc) is True
         pair = [x + xc, x + xc.scaled(q(-1))]
         ideal = ideal_closure(sig, pair)
-        assert ideal == _closure_oracle(sig, pair)
-        assert ideal_contains(sig, ideal, x) is _contains_oracle(sig, ideal, x) is False
+        assert (ideal.labels, ideal.central_basis) == _closure_oracle(sig, pair)
+        assert ideal_contains(sig, ideal, x) is _contains_oracle(sig, ideal, x) is True
         # [b, m] + [b, m*c^k] for a bracket b, as the benchmark builds it.
         rng = random.Random(5)
         for sig in (TWO_HOLED_TORUS, TWO_GENUS_THREE_HOLES):
@@ -567,7 +651,7 @@ class TestAgainstDecompositionOracle:
             m = random_noncentral_monomial(rng, sig)
             shifted = Monomial(tuple(e + (j == 2 * sig.genus) for j, e in enumerate(m)))
             total = bracket(sig, b, single(m, 1)) + bracket(sig, b, single(shifted, 1))
-            assert ideal_contains(sig, ideal, total) == _contains_oracle(sig, ideal, total)
+            assert ideal_contains(sig, ideal, total) is _contains_oracle(sig, ideal, total) is True
 
 
 @st.composite
@@ -684,3 +768,177 @@ class TestLabelsAgainstFractionOracle:
         pairs = [(Monomial((0, 0, 1)), q(1)), (Monomial((0, 0, 0, 1)), q(2))]
         with pytest.raises(ValueError, match="label monomials must share one length"):
             PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, pairs)
+
+
+# The classification: J is one ideal of the Laurent ring of the center,
+# shared by every non-central class.  x = a1 and c = a3 on the one-holed
+# torus; c1 = a3 and c2 = a4 on the two-holed torus.
+
+B2_SURFACES = [ONE_HOLED_TORUS, SurfaceSignature.with_boundary(2, 2)]
+
+
+def _members(sig, gens, data):
+    """Members by construction: the generators, and brackets of each with a
+    drawn monomial m and with m times a central monomial, whose classes merge."""
+    members = list(gens)
+    g2, rest = 2 * sig.genus, sig.n - 2 * sig.genus
+    for gen in gens:
+        m = data.draw(st.tuples(*[st.integers(-2, 2)] * sig.n))
+        shift = data.draw(st.tuples(*[st.integers(-2, 2)] * rest))
+        members.append(bracket(sig, gen, single(m, 1)))
+        members.append(bracket(sig, gen, single(m[:g2] + tuple(map(sum, zip(m[g2:], shift))), 1)))
+    return members
+
+
+def _principal_generator(sig, data):
+    """One class of a drawn label at a drawn non-central base: J is principal."""
+    label = PrimitiveLabel.from_pairs(sig, data.draw(label_pairs(sig)))
+    base = data.draw(st.tuples(*[st.integers(-2, 2)] * 2 * sig.genus).filter(any))
+    return label.element_at(Monomial(base + (0,) * (sig.n - 2 * sig.genus)))
+
+
+class TestClassification:
+    def test_roadmap_probes_on_the_one_holed_torus(self):
+        sig = ONE_HOLED_TORUS
+        x, xc = single((1, 0, 0), 1), single((1, 0, 1), 1)
+        assert ideal_contains(sig, ideal_closure(sig, [x]), x + xc)
+        ideal = ideal_closure(sig, [x + xc, x - xc])
+        assert ideal.labels == frozenset({PrimitiveLabel.trivial(sig)})
+        assert ideal_contains(sig, ideal, x)
+
+    def test_principal_probe_on_the_two_holed_torus(self):
+        sig = TWO_HOLED_TORUS
+        x, x1, x2, x12 = (single(m, 1) for m in ((1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+                                                 (1, 0, 1, 1)))
+        ideal = ideal_closure(sig, [x + x1])
+        assert ideal_contains(sig, ideal, x + x1 + x2 + x12)
+        assert not ideal_contains(sig, ideal, x)
+        assert not ideal_contains(sig, ideal, x + x2)
+
+    def test_the_unit_ideal_builds_no_label(self, monkeypatch):
+        calls = []
+        for name in ("_classes", "_label"):
+            real = getattr(rat_ideals, name)
+            counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            monkeypatch.setattr(rat_ideals, name, counted)
+        sig = TWO_HOLED_TORUS
+        two_terms = single((1, 0, 0, 0), 1) + single((1, 0, 1, 2), 3)
+        gens = [two_terms, two_terms + single((0, 1, 0, 0), 2), two_terms + single((0, 0, 1, 0), 5)]
+        ideal = ideal_closure(sig, gens)
+        assert ideal.labels == frozenset({PrimitiveLabel.trivial(sig)})
+        assert len(ideal.central_basis) == 1
+        assert ideal_contains(sig, ideal, two_terms + single((0, 0, 1, 0), 1))
+        assert not ideal_contains(sig, ideal, single((0, 0, 0, 1), 1))
+        assert calls == []
+
+    @pytest.mark.parametrize("sig", [*B2_SURFACES, TWO_HOLED_TORUS], ids=["1-2", "2-2", "1-3"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_membership_is_closed_under_sums_and_scalings(self, sig, data):
+        if sig.boundary == 2:
+            gens = data.draw(st.lists(class_elements(sig, "multi"), min_size=1, max_size=2))
+        else:
+            gens = [_principal_generator(sig, data)]
+        ideal = ideal_closure(sig, gens)
+        members = _members(sig, gens, data)
+        scales = data.draw(st.lists(rational_coeffs(), min_size=len(members),
+                                    max_size=len(members)))
+        total = ModuleElement.zero("Q")
+        for member, scale in zip(members, scales):
+            assert ideal_contains(sig, ideal, member.scaled(scale))
+            total = total + member.scaled(scale)
+        assert ideal_contains(sig, ideal, total)
+        other = data.draw(class_elements(sig, "mixed"))
+        verdict = ideal_contains(sig, ideal, other)
+        assert verdict == _contains_oracle(sig, ideal, other)
+        assert ideal_contains(sig, ideal, other + total) == verdict
+        assert ideal_contains(sig, ideal, other.scaled(scales[0])) == verdict
+
+    @pytest.mark.parametrize("sig", B2_SURFACES, ids=["1-2", "2-2"])
+    @pytest.mark.parametrize("shape", ["mixed", "multi"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_members_leave_the_closure_unchanged(self, sig, shape, data):
+        gens = data.draw(st.lists(class_elements(sig, shape), min_size=1, max_size=2))
+        ideal = ideal_closure(sig, gens)
+        members = _members(sig, gens, data)
+        total = members[-1] + members[-2]
+        assert ideal_closure(sig, [*gens, *members[len(gens):], total]) == ideal
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(label_pairs(ONE_HOLED_TORUS), min_size=1, max_size=4))
+    def test_the_b2_generator_is_the_fraction_gcd(self, pair_lists):
+        sig = ONE_HOLED_TORUS
+        labels = [PrimitiveLabel.from_pairs(sig, pairs) for pairs in pair_lists]
+        g = _gcd_oracle([{m[2] - min(e[2] for e, _ in pairs): c for m, c in pairs}
+                         for pairs in pair_lists])
+        expected = PrimitiveLabel.from_pairs(sig, [(Monomial((0, 0, d)), c) for d, c in g.items()])
+        assert RationalIdeal(labels).labels == frozenset({expected})
+        gens = [lab.element_at(Monomial((i + 1, 0, 0))) for i, lab in enumerate(labels)]
+        assert ideal_closure(sig, gens).labels == frozenset({expected})
+
+    @pytest.mark.parametrize("sig", [ONE_HOLED_TORUS, TWO_HOLED_TORUS, TWO_GENUS_THREE_HOLES],
+                             ids=["1-2", "1-3", "2-3"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_the_unit_short_cut_matches_the_class_test(self, sig, data):
+        gens = data.draw(st.lists(class_elements(sig, "mixed"), min_size=1, max_size=2))
+        one_term = data.draw(class_elements(sig, "one"))
+        ideal = ideal_closure(sig, [*gens, one_term])
+        [trivial] = ideal.labels
+        assert trivial == PrimitiveLabel.trivial(sig)
+        unit = rat_ideals._polynomial(trivial)
+        for u in (data.draw(class_elements(sig, "mixed")), gens[0] + one_term):
+            parts, central = rat_ideals._classes(sig, u)
+            by_class = all(not rat_ideals._top_reduce(rat_ideals._polynomial(label), unit, count())
+                           for label, _, _ in parts)
+            in_v = rat_ideals._reduce(central, ideal.central_basis).is_zero()
+            assert ideal_contains(sig, ideal, u) == (by_class and in_v)
+
+
+def _cli(*argv):
+    """Exit code, stdout, stderr and wall seconds of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+GAP = 10**6
+ONE_MINUS_T = PrimitiveLabel([(Monomial((0, 0, 0)), q(1)), (Monomial((0, 0, 1)), q(-1))])
+FAR = single((1, 0, 0), 1) + single((1, 0, GAP), -1)
+
+
+class TestReductionCap:
+    def test_membership_past_the_cap_raises(self):
+        ideal = RationalIdeal([ONE_MINUS_T])
+        with pytest.raises(ValueError, match="MAX_REDUCTION_STEPS"):
+            ideal_contains(ONE_HOLED_TORUS, ideal, FAR)
+        # Within the cap the same division is exact.
+        near = single((1, 0, 0), 1) + single((1, 0, MAX_REDUCTION_STEPS // 2), -1)
+        assert ideal_contains(ONE_HOLED_TORUS, ideal, near)
+
+    def test_euclid_past_the_cap_raises(self):
+        cubic = [((0, 0, 0), q(-1)), ((0, 0, 1), q(5)), ((0, 0, 3), q(1))]
+        far = [((0, 0, 0), q(-1)), ((0, 0, GAP), q(1))]
+        labels = [PrimitiveLabel.from_pairs(ONE_HOLED_TORUS, pairs) for pairs in (cubic, far)]
+        with pytest.raises(ValueError, match="MAX_REDUCTION_STEPS"):
+            RationalIdeal(labels)
+        gens = [lab.element_at(Monomial((1, 0, 0))) for lab in labels]
+        with pytest.raises(ValueError, match="MAX_REDUCTION_STEPS"):
+            ideal_closure(ONE_HOLED_TORUS, gens)
+
+    def test_the_cli_exits_two_at_once(self):
+        ideal = json.dumps(RationalIdeal([ONE_MINUS_T]).to_json_obj())
+        member = _cli("ideal-member", "--boundary", "1", "2", "--ideal", ideal,
+                      "--elem", json.dumps(FAR.to_json_obj()))
+        cubic = single((1, 0, 0), -1) + single((1, 0, 1), 5) + single((1, 0, 3), 1)
+        closure = _cli("ideal-closure", "--boundary", "1", "2",
+                       "--gen", json.dumps(cubic.to_json_obj()),
+                       "--gen", json.dumps(FAR.to_json_obj()))
+        for code, out, err, seconds in (member, closure):
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "MAX_REDUCTION_STEPS" in err
+            assert seconds < 2

@@ -142,6 +142,12 @@ CLI_CASES = {
         "--ideal", '{"labels": [], "central_basis": [{"ring":"Q","terms":'
                    '[{"exp":[0,0,1],"coef":"1"},{"exp":[1,0,0],"coef":"1"}]}]}',
         "--elem", '{"ring":"Q","terms":[{"exp":[0,0,1],"coef":"1"}]}'],
+    # The trivial label makes J the unit ideal; the other label must still be central.
+    "ideal-member non-central label beside the trivial one": [
+        "ideal-member", "--boundary", "1", "2",
+        "--ideal", '{"labels": [[{"c":[0,0,0],"q":"1"}], [{"c":[0,0,0],"q":"1"},'
+                   '{"c":[1,0,0],"q":"2"}]], "central_basis": []}',
+        "--elem", '{"ring":"Q","terms":[{"exp":[0,0,1],"coef":"1"}]}'],
 }
 
 
