@@ -168,14 +168,14 @@ def _split(sig: SurfaceSignature, u: ModuleElement) -> tuple[Counter, ModuleElem
     return counts, ModuleElement._make("Q", {}, 1)
 
 
-def _classes(sig: SurfaceSignature,
-             u: ModuleElement) -> tuple[list[tuple[PrimitiveLabel, Monomial, int]], ModuleElement]:
-    """Group u's terms by central-translation class.
+def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecomposition:
+    """Split a rational element by central-translation classes of its support.
 
-    Returns ``(parts, central)``: one ``(label, base, numerator)`` per class
-    of non-central monomials, in ascending class order, the base's
-    coefficient being ``numerator / u._den``, and the central terms as
-    an element.  Every one-term class carries the same trivial label object.
+    Monomials sharing their first 2g exponents differ by a central factor
+    and aggregate into one part, in ascending class order; a part's base is
+    the lex-least monomial of its class, which makes the extracted label
+    canonical and the decomposition exactly reassemblable.  One-term classes
+    share one trivial label object; central monomials form the remainder.
     """
     terms, g2 = _terms_on(sig, u), 2 * sig.genus
     classes: dict[tuple[int, ...], list[Monomial]] = {}
@@ -188,26 +188,11 @@ def _classes(sig: SurfaceSignature,
             classes.setdefault(key, []).append(mono)
         else:
             central[mono] = terms[mono]
-    trivial = PrimitiveLabel.trivial(sig)
-    parts = []
-    for members in classes.values():
-        label = _label({m: terms[m] for m in members}) if len(members) > 1 else trivial
-        parts.append((label, members[0], terms[members[0]]))
-    return parts, _lowest("Q", central, u._den)
-
-
-def decompose_by_center(sig: SurfaceSignature, u: ModuleElement) -> CentralDecomposition:
-    """Split a rational element by central-translation classes of its support.
-
-    Monomials sharing their first 2g exponents differ by a central factor
-    and aggregate into one part; the base of a part is the
-    lexicographically least monomial of its class, which makes the
-    extracted label canonical and the decomposition exactly reassemblable.
-    Classes of central monomials collect into the central remainder.
-    """
-    parts, central = _classes(sig, u)
-    return CentralDecomposition(
-        tuple(Part(label, base, Fraction(num, u._den)) for label, base, num in parts), central)
+    trivial, den = PrimitiveLabel.trivial(sig), u._den
+    return CentralDecomposition(tuple(
+        Part(_label({m: terms[m] for m in members}) if len(members) > 1 else trivial,
+             members[0], Fraction(terms[members[0]], den)) for members in classes.values()),
+        _lowest("Q", central, den))
 
 
 def label_bracket_identity_holds(sig: SurfaceSignature, label: PrimitiveLabel, x: Monomial,
@@ -271,7 +256,7 @@ def _generators(labels: frozenset) -> frozenset:
     if len({i for label in labels for m in label._monos for i, e in enumerate(m) if e}) > 1:
         return labels
     # Lowest degree first; the last monomial of a one-variable label is its degree.
-    polys = [dict(zip(lab._monos, lab._weights))
+    polys = [_polynomial(lab)
              for lab in sorted(labels, key=lambda lab: (lab._monos[::-1], lab._weights))]
     steps, g = count(), polys[0]
     for p in polys[1:]:
@@ -311,7 +296,11 @@ def _rref(vectors: Iterable[ModuleElement]) -> list[ModuleElement]:
 
 
 class RationalIdeal(_Value):
-    """An ideal (J, V): the canonical generators of J and a reduced basis of V."""
+    """An ideal (J, V): the canonical generators of J and a reduced basis of V.
+
+    The constructor has no surface and keeps only J's generators, so a label
+    it drops is never checked; ``from_json_obj(obj, sig)`` checks labels first.
+    """
 
     __slots__ = ("labels", "central_basis")
 
@@ -347,7 +336,6 @@ class RationalIdeal(_Value):
 
     @classmethod
     def from_json_obj(cls, obj: dict, sig: Optional[SurfaceSignature] = None) -> "RationalIdeal":
-        """Given a surface, the labels must fit it before J's generators replace them."""
         obj = _json_shape(obj, dict, "an ideal")
         labels = [PrimitiveLabel.from_json_obj(lab)
                   for lab in _json_shape(obj["labels"], list, "'labels' of an ideal")]
@@ -379,7 +367,7 @@ def ideal_closure(sig: SurfaceSignature, generators: Iterable[ModuleElement]) ->
             unit = 1 in counts.values()
             pending.append(gen)
     labels = frozenset({PrimitiveLabel.trivial(sig)}) if unit else _generators(frozenset(
-        label for gen in pending for label, _, _ in _classes(sig, gen)[0]))
+        part.label for gen in pending for part in decompose_by_center(sig, gen).parts))
     # Rows built here need none of the constructor's checks.
     return RationalIdeal._make(labels, tuple(_rref(central)))
 
@@ -388,10 +376,10 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
     """Exact membership: each class polynomial in J, and the central part in V.
 
     In the unit ideal every class polynomial is a member, and in the zero
-    ideal none is, so only the central split is made.  Otherwise each class
-    label must be a generator of ``J`` or be divisible by one.  An ideal
-    that does not fit the surface raises ValueError.  A label starts at the
-    identity, so its last monomial is central only if every one is.
+    ideal none is, so only the central split is made; otherwise each class
+    label must be a generator of ``J`` or be divisible by one.  Only J's
+    generators and V's rows are checked against the surface (ValueError): a
+    generator starts at the identity, so it is central if its last monomial is.
     """
     labels = ideal.labels
     _require_central(sig, [lab._monos[-1] for lab in labels])
@@ -401,7 +389,7 @@ def ideal_contains(sig: SurfaceSignature, ideal: RationalIdeal, u: ModuleElement
         if counts and not labels:
             return False
     else:
-        parts, central = _classes(sig, u)
+        parts, central = decompose_by_center(sig, u)
         steps, polys = count(), [_polynomial(lab) for lab in labels]
         for label, _, _ in parts:
             # A nonzero remainder by every generator: none divides the class.

@@ -4,8 +4,9 @@ Each command's exit code and stdout must equal what the library gives for
 the same input, within a time cap per call.  These cases cover the
 rational-ideal commands on surfaces whose center has rank at least 1, with
 generators that carry central terms; ``ab``, ``center``, ``ideal-check``,
-``ik-family``, ``chain-project`` and ``chain-separate``; and bad input to
-every subcommand, which must exit 2 with one error line.
+``ik-family``, ``chain-project`` and ``chain-separate``; bad input to
+every subcommand, which must exit 2 with one error line; and the table
+size cap at its boundary.
 """
 
 import contextlib
@@ -296,3 +297,23 @@ class TestBadInputExitsTwo:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestTableCapBoundary:
+    """``MAX_TABLE_ENTRIES`` caps the box a table claims: 315^2 fits it, 317^2 does not."""
+
+    def _check(self, radius):
+        return _run("ideal-check", "--closed", "1", "--rule", "table",
+                    "--table", _as_json({"radius": radius}), "--seed", "1", "--samples", "200")
+
+    def test_the_largest_box_under_the_cap_runs(self):
+        assert 315 ** 2 <= int_ideals.MAX_TABLE_ENTRIES < 317 ** 2
+        code, out, err = self._check(157)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checked"] == 200
+
+    def test_the_next_box_is_refused(self):
+        code, out, err = self._check(158)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a table of radius 158 on n = 2 has 317^2 entries, "
+                       f"more than the cap of {int_ideals.MAX_TABLE_ENTRIES}\n")

@@ -476,6 +476,18 @@ class TestRoundTrip:
         )
         assert RationalIdeal.from_json_obj(json.loads(json.dumps(ideal.to_json_obj()))) == ideal
 
+    def test_json_labels_are_checked_before_the_unit_drops_them(self):
+        sig = ONE_HOLED_TORUS
+        trivial = PrimitiveLabel.trivial(sig)
+        off_center = PrimitiveLabel([(Monomial((0, 0, 0)), q(1)), (Monomial((1, 0, 0)), q(2))])
+        obj = {"labels": [trivial.to_json_obj(), off_center.to_json_obj()], "central_basis": []}
+        with pytest.raises(ValueError, match=r"^ideal monomial \(1, 0, 0\) is not central$"):
+            RationalIdeal.from_json_obj(obj, sig)
+        # Without a surface the unit ideal keeps only its generator, so nothing is left to check.
+        ideal = RationalIdeal.from_json_obj(obj)
+        assert ideal == RationalIdeal([trivial, off_center]) == RationalIdeal([trivial])
+        assert ideal_contains(sig, ideal, single((1, 0, 0), 1))
+
     def test_fractional_label_exponent_rejected(self):
         with pytest.raises(TypeError, match="exact integer"):
             PrimitiveLabel.from_json_obj([{"c": [0, 0, 0.5], "q": "1"}])
@@ -817,7 +829,7 @@ class TestClassification:
 
     def test_the_unit_ideal_builds_no_label(self, monkeypatch):
         calls = []
-        for name in ("_classes", "_label"):
+        for name in ("decompose_by_center", "_label"):
             real = getattr(rat_ideals, name)
             counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
             monkeypatch.setattr(rat_ideals, name, counted)
@@ -889,7 +901,7 @@ class TestClassification:
         assert trivial == PrimitiveLabel.trivial(sig)
         unit = rat_ideals._polynomial(trivial)
         for u in (data.draw(class_elements(sig, "mixed")), gens[0] + one_term):
-            parts, central = rat_ideals._classes(sig, u)
+            parts, central = rat_ideals.decompose_by_center(sig, u)
             by_class = all(not rat_ideals._top_reduce(rat_ideals._polynomial(label), unit, count())
                            for label, _, _ in parts)
             in_v = rat_ideals._reduce(central, ideal.central_basis).is_zero()
